@@ -108,6 +108,20 @@ def _default_corpus_path():
     return resources.files("cartensor").joinpath("data", "appendix.jsonl")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
 def _resolve_seed(args) -> int | None:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -182,7 +196,8 @@ def cmd_corpus(args) -> int:
             if expr is None:
                 return 2
             result = reduce_expr(expr)
-            rep = verify(expr, n_samples=args.samples, tol=args.tol, seed=seed)
+            rep = verify(expr, n_samples=args.samples, tol=args.tol, seed=seed,
+                         result=result)
             if not rep.passed:
                 print(f"{cid}: oracle check failed "
                       f"(max_abs_err={rep.max_abs_err:.3e}); corpus not written",
@@ -211,11 +226,12 @@ def cmd_corpus(args) -> int:
             print(format_error(e), file=sys.stderr)
             failures.append((cid, "parse"))
             continue
-        obj = result_to_obj(reduce_expr(expr))
-        if obj != entry["expected"]:
+        result = reduce_expr(expr)
+        if result_to_obj(result) != entry["expected"]:
             failures.append((cid, "mismatch"))
             continue
-        rep = verify(expr, n_samples=args.samples, tol=args.tol, seed=seed)
+        rep = verify(expr, n_samples=args.samples, tol=args.tol, seed=seed,
+                     result=result)
         if not rep.passed:
             failures.append((cid, "oracle"))
             continue
@@ -246,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="compare the reduction against the "
                                           "numeric oracle")
     p_ver.add_argument("expr")
-    p_ver.add_argument("--samples", type=int, default=200)
-    p_ver.add_argument("--tol", type=float, default=1e-10)
+    p_ver.add_argument("--samples", type=positive_int, default=200)
+    p_ver.add_argument("--tol", type=positive_float, default=1e-10)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -261,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(refuses if any entry fails the oracle)")
     p_cor.add_argument("--file", default=None,
                        help="alternate corpus file (default: bundled)")
-    p_cor.add_argument("--samples", type=int, default=200)
-    p_cor.add_argument("--tol", type=float, default=1e-10)
+    p_cor.add_argument("--samples", type=positive_int, default=200)
+    p_cor.add_argument("--tol", type=positive_float, default=1e-10)
     p_cor.add_argument("--seed", type=int, default=None)
     p_cor.set_defaults(func=cmd_corpus)
     return ap

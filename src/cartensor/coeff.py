@@ -10,12 +10,19 @@ constant produced by the reduction engine (Clebsch-Gordan coefficients, 3j symbo
 coupling normalizations, spherical prefactors) lives in this set, so all engine
 arithmetic is exact; floats appear only in the numeric cross-check oracle.
 
-A CoeffSum is a canonical sum of atoms.  Internally atoms are held in a strict
-canonical form — square-free positive *integer* radicand (denominator folded into
-rat) and i_pow folded to {0, 1} with the sign absorbed into rat — so that equal
-values always collide on the same key (radicand, pi_half, i_pow) and cancellation
-to zero is structural.  The public normalize_atom() is gentler (it keeps a rational
-radicand and only reduces i_pow mod 4); both normal forms represent the same value.
+A CoeffSum holds one invariant: its atoms are in strict canonical form (nonzero
+rat, square-free positive integer radicand, i_pow in {0, 1}) and sorted by the
+key (radicand, pi_half, i_pow), one atom per key.  Equal values therefore have
+equal sums, and cancellation to zero is structural.  CoeffSum.from_atoms (with
+from_atom) is the only place an arbitrary atom enters a sum; it normalizes
+through atom_canonical.  add, neg, scale and mul take canonical sums to a
+canonical sum without factoring anything: the product of square-free radicands
+f1, f2 with g = gcd(f1, f2) is g**2 * (f1//g) * (f2//g), and (f1//g) * (f2//g)
+is square-free again.
+
+Outside sums, atoms are built with atom(), which applies the gentler
+normalize_atom() (a rational radicand with its square factors pulled out, i_pow
+reduced mod 4).  Both normal forms represent the same value.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +99,11 @@ class CoeffAtom:
     i_pow: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "radicand", Fraction(self.radicand))
-        if self.radicand <= 0:
+        if type(self.rat) is not Fraction:
+            object.__setattr__(self, "rat", Fraction(self.rat))
+        if type(self.radicand) is not Fraction:
+            object.__setattr__(self, "radicand", Fraction(self.radicand))
+        if self.radicand.numerator <= 0:
             raise ValueError(f"radicand must be positive, got {self.radicand}")
 
     # -- conversion -------------------------------------------------------
@@ -175,6 +185,17 @@ def _key(a: CoeffAtom) -> tuple[int, int, int]:
 # CoeffSum
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _radicand(n: int) -> Fraction:
+    return Fraction(n)
+
+
+def _collect(acc: dict) -> "CoeffSum":
+    """CoeffSum from {key: rat}, dropping zero coefficients."""
+    return CoeffSum(tuple([CoeffAtom(r, _radicand(k[0]), k[1], k[2])
+                           for k, r in sorted(acc.items()) if r]))
+
+
 @dataclass(frozen=True)
 class CoeffSum:
     """Canonical sum of strict-form atoms, keyed by (radicand, pi_half, i_pow)."""
@@ -184,20 +205,13 @@ class CoeffSum:
     @staticmethod
     def from_atoms(atoms) -> "CoeffSum":
         acc: dict[tuple[int, int, int], Fraction] = {}
-        meta: dict[tuple[int, int, int], CoeffAtom] = {}
         for raw in atoms:
             a = atom_canonical(raw)
             if a.rat == 0:
                 continue
             k = _key(a)
-            acc[k] = acc.get(k, Fraction(0)) + a.rat
-            meta[k] = a
-        out = []
-        for k in sorted(acc):
-            if acc[k] != 0:
-                m = meta[k]
-                out.append(CoeffAtom(acc[k], m.radicand, m.pi_half, m.i_pow))
-        return CoeffSum(tuple(out))
+            acc[k] = acc[k] + a.rat if k in acc else a.rat
+        return _collect(acc)
 
     @staticmethod
     def from_atom(a: CoeffAtom) -> "CoeffSum":
@@ -219,24 +233,45 @@ class CoeffSum:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, other: "CoeffSum") -> "CoeffSum":
-        return CoeffSum.from_atoms(self.atoms + other.atoms)
+        acc = {_key(a): a.rat for a in self.atoms}
+        for b in other.atoms:
+            k = _key(b)
+            acc[k] = acc[k] + b.rat if k in acc else b.rat
+        return _collect(acc)
 
     def neg(self) -> "CoeffSum":
-        return CoeffSum(tuple(CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow)
-                              for a in self.atoms))
+        return CoeffSum(tuple([CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow)
+                               for a in self.atoms]))
 
     def scale(self, factor) -> "CoeffSum":
         """Multiply by a CoeffAtom, Fraction, or int."""
         if isinstance(factor, CoeffAtom):
-            return CoeffSum.from_atoms(atom_mul(a, factor) for a in self.atoms)
+            return self.mul(CoeffSum.from_atom(factor))
         f = Fraction(factor)
+        if f == 1:
+            return self
         if f == 0:
             return SUM_ZERO
-        return CoeffSum(tuple(CoeffAtom(a.rat * f, a.radicand, a.pi_half, a.i_pow)
-                              for a in self.atoms))
+        return CoeffSum(tuple([CoeffAtom(a.rat * f, a.radicand, a.pi_half, a.i_pow)
+                               for a in self.atoms]))
 
     def mul(self, other: "CoeffSum") -> "CoeffSum":
-        return CoeffSum.from_atoms(atom_mul(a, b) for a in self.atoms for b in other.atoms)
+        acc: dict[tuple[int, int, int], Fraction] = {}
+        for a in self.atoms:
+            f1 = a.radicand.numerator
+            for b in other.atoms:
+                f2 = b.radicand.numerator
+                g = math.gcd(f1, f2)
+                rat = a.rat * b.rat
+                if g > 1:
+                    rat *= g
+                i_pow = a.i_pow + b.i_pow
+                if i_pow >= 2:
+                    rat = -rat
+                    i_pow -= 2
+                k = ((f1 // g) * (f2 // g), a.pi_half + b.pi_half, i_pow)
+                acc[k] = acc[k] + rat if k in acc else rat
+        return _collect(acc)
 
     # -- conversion -------------------------------------------------------
 

@@ -270,12 +270,19 @@ class VerifyReport:
 
 
 def verify(expr, n_samples: int = 200, tol: float = 1e-10,
-           seed: int | None = None) -> VerifyReport:
-    """Compare the reduced polynomial against direct spherical evaluation."""
+           seed: int | None = None,
+           result: ReductionResult | None = None) -> VerifyReport:
+    """Compare the reduced polynomial against direct spherical evaluation.
+
+    A caller that has already reduced expr passes that reduction as result,
+    and it is checked instead of reducing expr again."""
     from .parser import parse, render_expr_text
     if isinstance(expr, str):
         expr = parse(expr)
-    result = reduce_expr(expr)
+    if result is None:
+        result = reduce_expr(expr)
+    elif result.expr != expr:
+        raise ValueError("result is the reduction of a different expression")
     if seed is None:
         seed = DEFAULT_SEED
     seed = int(seed)

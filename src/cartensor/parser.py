@@ -64,6 +64,11 @@ def format_error(err: ExprError) -> str:
 # Lexer / recursive-descent parser
 # ---------------------------------------------------------------------------
 
+# Couplings nest at most this deep.  The parser, validator, reducer and oracle
+# all recurse once or more per level, so the limit keeps every stage well below
+# the interpreter's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"(?P<WS>\s+)|(?P<INT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<LB>\[)|(?P<RB>\])|(?P<LP>\()|(?P<RP>\))")
@@ -88,6 +93,7 @@ class _Parser:
         self.source = source
         self.tokens = _lex(source)
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -134,6 +140,11 @@ class _Parser:
 
     def _parse_coupling(self) -> Couple:
         open_tok = self._expect("LB", "'['")
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"couplings nested deeper than {MAX_NESTING} levels",
+                self.source, SourceSpan(open_tok[2], open_tok[3]))
+        self.depth += 1
         left = self.parse_expr()
         sep = self._expect("NAME", "'x' between the coupled factors")
         if sep[1] != "x":
@@ -144,6 +155,7 @@ class _Parser:
         self._expect("LB", "'[' before the coupled rank")
         L_tok = self._expect("INT", "an integer rank")
         close = self._expect("RB", "']' after the rank")
+        self.depth -= 1
         return Couple(left, right, int(L_tok[1]), SourceSpan(open_tok[2], close[3]))
 
 

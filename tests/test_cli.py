@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from cartensor import cli
+from cartensor import cli, oracle, parser
 from cartensor.cli import CORPUS_ENTRIES, main
 from cartensor.oracle import DEFAULT_SEED
 
@@ -66,6 +66,18 @@ class TestReduce:
                            "--format", "json")
         assert code == 0
         assert len(json.loads(out)["terms"]) == 42
+
+    def test_deep_nesting_exit_2(self, capsys):
+        expr = "Y[0](v0)"
+        for i in range(1, 1501):
+            expr = f"[{expr} x Y[0](v{i})][0]"
+        code, out, err = run(capsys, "reduce", expr)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == (f"error: couplings nested deeper than "
+                            f"{parser.MAX_NESTING} levels")
+        assert lines[2] == "  " + " " * parser.MAX_NESTING + "^"
 
 
 class TestVerify:
@@ -192,6 +204,25 @@ class TestCorpus:
         assert code == 2
         assert "choose one of" in err
 
+    @pytest.mark.parametrize("action", ["--check", "--regen"])
+    def test_each_entry_reduced_once(self, capsys, tmp_path, monkeypatch,
+                                     action):
+        calls = []
+        reduce_expr = cli.reduce_expr
+
+        def counted(expr):
+            calls.append(expr)
+            return reduce_expr(expr)
+
+        monkeypatch.setattr(cli, "reduce_expr", counted)
+        monkeypatch.setattr(oracle, "reduce_expr", counted)
+        argv = ["corpus", action, "--samples", "5"]
+        if action == "--regen":
+            argv += ["--file", str(tmp_path / "corpus.jsonl")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == len(CORPUS_ENTRIES)
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", "--check",
                            "--file", str(tmp_path / "nope.jsonl"))
@@ -207,3 +238,17 @@ class TestUsage:
     def test_bad_format_choice_exit_2(self, capsys):
         assert main(["reduce", "Y[1](a)", "--format", "html"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", [["verify", "Y[1](a)"], ["corpus"]])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--samples", "0", "must be at least 1"),
+        ("--samples", "-3", "must be at least 1"),
+        ("--tol", "0", "must be greater than 0"),
+    ])
+    def test_bad_numeric_flag_exit_2(self, capsys, command, flag, value,
+                                     message):
+        code, out, err = run(capsys, *command, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: {message}" in err
+        assert "Traceback" not in err

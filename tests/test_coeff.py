@@ -1,8 +1,11 @@
 """Unit tests for exact coefficient arithmetic (rationals, radicals, pi, i)."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from cartensor.coeff import (
     ATOM_ONE,
@@ -171,3 +174,76 @@ class TestJson:
         obj = atom_to_json(atom(Fraction(1, 3), 5, -2))
         import json
         json.dumps(obj)  # must be serializable as-is
+
+
+# ---------------------------------------------------------------------------
+# Property test: the CoeffSum kernel against from_atoms of naive products
+# ---------------------------------------------------------------------------
+
+_PRIMES = (2, 3, 5, 7, 11)
+_smooth = st.lists(st.integers(0, 3), min_size=len(_PRIMES),
+                   max_size=len(_PRIMES)).map(
+    lambda es: math.prod(p ** e for p, e in zip(_PRIMES, es)))
+_raw_atoms = st.builds(
+    CoeffAtom,
+    rat=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    radicand=st.builds(Fraction, _smooth, _smooth),
+    pi_half=st.integers(-4, 4),
+    i_pow=st.integers(0, 7),
+)
+_atom_lists = st.lists(_raw_atoms, max_size=4)
+
+
+def _assert_canonical(s):
+    keys = []
+    for a in s.atoms:
+        assert a.rat != 0
+        assert a.radicand.denominator == 1
+        assert square_free_split(a.radicand.numerator)[0] == 1
+        assert a.i_pow in (0, 1)
+        keys.append((a.radicand.numerator, a.pi_half, a.i_pow))
+    assert keys == sorted(set(keys))
+
+
+def _assert_close(z, w, magnitude):
+    assert abs(z - w) <= 1e-12 * magnitude
+
+
+def _size(atoms):
+    return sum(abs(a.to_complex()) for a in atoms)
+
+
+# No explain phase: it traces every shrink step, which stretches a failing run
+# to minutes.
+@settings(deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(xs=_atom_lists, ys=_atom_lists, c=_raw_atoms,
+       q=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+def test_sum_kernel_matches_from_atoms(xs, ys, c, q):
+    s, t = CoeffSum.from_atoms(xs), CoeffSum.from_atoms(ys)
+    zs, zt = s.to_complex(), t.to_complex()
+
+    prod = s.mul(t)
+    assert prod == CoeffSum.from_atoms(atom_mul(a, b) for a in xs for b in ys)
+    _assert_close(prod.to_complex(), zs * zt, _size(xs) * _size(ys))
+
+    total = s.add(t)
+    assert total == CoeffSum.from_atoms(xs + ys)
+    _assert_close(total.to_complex(), zs + zt, _size(xs) + _size(ys))
+
+    neg = s.neg()
+    assert neg == CoeffSum.from_atoms(
+        CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow) for a in xs)
+    _assert_close(neg.to_complex(), -zs, _size(xs))
+
+    by_atom = s.scale(c)
+    assert by_atom == CoeffSum.from_atoms(atom_mul(a, c) for a in xs)
+    _assert_close(by_atom.to_complex(), zs * c.to_complex(),
+                  _size(xs) * abs(c.to_complex()))
+
+    by_rat = s.scale(q)
+    assert by_rat == CoeffSum.from_atoms(atom_mul(a, atom(q)) for a in xs)
+    _assert_close(by_rat.to_complex(), zs * float(q), _size(xs) * abs(float(q)))
+
+    for result in (s, prod, total, neg, by_atom, by_rat):
+        _assert_canonical(result)

@@ -187,6 +187,27 @@ class TestVerify:
         rep = verify("[Y[2](a) x Y[2](b)][1]", n_samples=25)
         assert rep.to_json()["pass"] is True
 
+    def test_given_result_is_not_reduced_again(self, monkeypatch):
+        from cartensor.parser import parse
+        from cartensor.reduce import reduce_expr
+        expr = parse("[Y[2](a) x Y[2](b)][1]")
+        result = reduce_expr(expr)
+
+        def no_reduce(_):
+            raise AssertionError("verify reduced a given result again")
+
+        monkeypatch.setattr(oracle, "reduce_expr", no_reduce)
+        rep = verify(expr, n_samples=10, result=result)
+        assert rep.to_json() == verify(expr, n_samples=10,
+                                       result=reduce_expr(expr)).to_json()
+        assert rep.passed
+
+    def test_result_of_another_expression_rejected(self):
+        from cartensor.reduce import reduce_expr
+        other = reduce_expr(Couple(Harmonic(1, "a"), Harmonic(1, "b"), 2))
+        with pytest.raises(ValueError, match="different expression"):
+            verify("[Y[1](a) x Y[1](b)][0]", n_samples=5, result=other)
+
 
 class TestEvalExpr:
     def test_single_configuration(self):
