@@ -3,10 +3,14 @@
 Evaluates coupled spherical-harmonic expressions directly from their
 definition (associated-Legendre recurrences plus explicit Clebsch-Gordan
 sums) and compares them against the reduced Cartesian polynomials, bridging
-rank-L output through the unitary component map when needed.  This module
-deliberately shares no algebra with the symbolic engine: spherical values
-come from floating-point recurrences, never from the engine's own
-coefficients.
+rank-L output through the unitary component map when needed.
+
+What the oracle shares with the symbolic engine is the parser, the
+CouplingExpr tree and the TensorPoly data it is asked to check; each term's
+exact coefficient is read through CoeffAtom/CoeffSum.to_complex.  It shares no
+algebra: spherical values come from floating-point recurrences, and its
+Clebsch-Gordan coefficients from diagonalising the total J^2 in the
+product basis (``cg``), never from the engine's Racah sum or its coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -23,11 +26,14 @@ from .coeff import double_factorial, factorial
 from .reduce import (Couple, CouplingExpr, Harmonic, ReductionResult,
                      expr_leaves, reduce_expr)
 from .tensor import TensorPoly
-from .wigner import cg_float
 
 DEFAULT_SEED = 20240831
 
-_BASIS = np.eye(3)
+# Axis letters of a delta view; "z" is the sample axis.
+_AXES = "abcdefghijklmnopqrstuvwxy"
+_LEVI = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI[_i, _j, _k], _LEVI[_i, _k, _j] = 1.0, -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -61,23 +67,66 @@ def sample_unit_vectors(seed: int, n: int, symbols) -> dict:
 
     Each sample row is drawn from its own child generator seeded [seed, i],
     so sample i is reproducible independently of how many samples are taken.
+    The symbols of a sample are drawn in sorted order as one (k, 3) block.
     """
     symbols = sorted(symbols)
-    out = {s: np.empty((n, 3)) for s in symbols}
+    seed, k = int(seed), len(symbols)
+    draws = np.empty((k, n, 3))
     for i in range(n):
-        rng = np.random.default_rng([int(seed), i])
-        for s in symbols:
-            v = rng.normal(size=3)
-            while np.linalg.norm(v) < 1e-8:
-                v = rng.normal(size=3)
-            out[s][i] = v / np.linalg.norm(v)
-    return out
+        draws[:, i] = np.random.default_rng([seed, i]).normal(size=(k, 3))
+    # A near-zero row is drawn again from the rest of its sample's stream.
+    for i in np.flatnonzero((np.linalg.norm(draws, axis=2) < 1e-8).any(axis=0)):
+        rng = np.random.default_rng([seed, int(i)])
+        v = rng.normal(size=(k, 3))
+        while (small := np.linalg.norm(v, axis=1) < 1e-8).any():
+            v[small] = rng.normal(size=(int(small.sum()), 3))
+        draws[:, i] = v
+    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
+    return dict(zip(symbols, draws))
 
 
 def _coerce_vec(v) -> np.ndarray:
     if isinstance(v, UnitVector):
         return v.array
     return np.asarray(v, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# Clebsch-Gordan coefficients, by diagonalising J^2
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _cg_block(l1: int, l2: int) -> np.ndarray:
+    """<l1 m1 l2 M-m1 | J M> at [J, M + l1 + l2, m1 + l1]; zero elsewhere.
+
+    At fixed M the product states |l1 m1> |l2 M-m1> span a space in which
+    J^2 = J1^2 + J2^2 + 2 J1z J2z + J1+ J2- + J1- J2+ is a symmetric
+    tridiagonal matrix with one eigenvalue J(J+1) for each allowed J, and its
+    eigenvectors are the coefficients.  The Condon-Shortley sign makes the
+    entry of largest m1 positive: it has m1 = l1 or M - m1 = -l2, and either
+    way the Racah sum of that coefficient is a single positive term.
+    """
+    top = l1 + l2
+    out = np.zeros((top + 1, 2 * top + 1, 2 * l1 + 1))
+    for M in range(-top, top + 1):
+        m1 = np.arange(max(-l1, M - l2), min(l1, M + l2) + 1)
+        m2 = M - m1
+        off = np.sqrt((l1 * (l1 + 1) - m1[:-1] * (m1[:-1] + 1))
+                      * (l2 * (l2 + 1) - m2[1:] * (m2[1:] + 1)))
+        j2 = (np.diag(l1 * (l1 + 1) + l2 * (l2 + 1) + 2.0 * m1 * m2)
+              + np.diag(off, 1) + np.diag(off, -1))
+        vecs = np.linalg.eigh(j2)[1]  # columns in ascending J
+        out[top + 1 - len(m1):, top + M, l1 + m1] = (vecs * np.sign(vecs[-1])).T
+    out.setflags(write=False)
+    return out
+
+
+def cg(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
+    """Float Clebsch-Gordan <l1 m1 l2 m2 | l3 m3>, by diagonalising J^2."""
+    if (m1 + m2 != m3 or not abs(l1 - l2) <= l3 <= l1 + l2
+            or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3):
+        return 0.0
+    return float(_cg_block(l1, l2)[l3, m3 + l1 + l2, m1 + l1])
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +189,7 @@ def eval_expr_components(expr: CouplingExpr, vecs: dict) -> np.ndarray:
             M = m1 + m2
             if abs(M) > L:
                 continue
-            c = cg_float(l1, m1, l2, m2, L, M)
+            c = cg(l1, m1, l2, m2, L, M)
             if c:
                 out[M + L] += c * A[m1 + l1] * B[m2 + l2]
     return out
@@ -161,31 +210,79 @@ def _det_rows(w1, w2, w3):
     return np.sum(np.atleast_2d(w1) * np.atleast_2d(c), axis=-1)
 
 
+@lru_cache(maxsize=None)
+def _delta_view(rank: int, deltas: tuple) -> tuple:
+    """(axes, n_axes, subscripts) of the diagonal view a term's deltas select.
+
+    Canonical deltas are disjoint pairs (i, j) with i < j; the two slots of a
+    delta share one axis of the view.  axes[slot] is that axis, and the
+    einsum subscripts take the view from a (3,)*rank + (n,) output.
+    """
+    rep = list(range(rank))
+    for i, j in deltas:
+        rep[j] = i
+    order = sorted(set(rep))
+    axes = tuple(order.index(r) for r in rep)
+    sub = "".join(_AXES[a] for a in axes) + "z->" + _AXES[:len(order)] + "z"
+    return axes, len(order), sub
+
+
+def _eps_factor(eps: tuple, axes: tuple, n_axes: int, cols: dict) -> np.ndarray:
+    """The Levi-Civita tensor contracted with the symbol entries of eps, with
+    each free entry on its slot's axis, broadcastable against the view."""
+    ops, subs, free = [_LEVI], ["abc"], []
+    for c, (kind, x) in zip("abc", eps):
+        if kind == 'f':
+            free.append((axes[x], c))
+        else:
+            ops.append(cols[x])
+            subs.append(c + "z")
+    free.sort()
+    tail = "z" if len(ops) > 1 else ""
+    block = np.einsum(",".join(subs) + "->" + "".join(c for _, c in free) + tail,
+                      *ops)
+    lo = free[0][0]
+    shape = [1] * (n_axes - lo) + [block.shape[-1] if tail else 1]
+    for a, _ in free:
+        shape[a - lo] = 3
+    return block.reshape(shape)
+
+
 def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int) -> np.ndarray:
-    """Evaluate at n configurations; shape (3,)*rank + (n,), real."""
+    """Evaluate at n configurations; shape (3,)*rank + (n,), real when the
+    imaginary part is negligible.
+
+    Each term is one broadcast product added into the diagonal view of the
+    output that its deltas select: the scalar part (coefficient, dot powers,
+    boxes), a (3, n) column block per vector factor, and the epsilon
+    contracted with its symbol vectors.  Dot powers and boxes are computed once
+    per call and shared across terms.
+    """
     L = poly.rank
-    out = np.zeros((3,) * L + (n,), dtype=complex)
-    for t in poly.terms:
-        base = np.full(n, t.coeff.to_complex())
-        for s1, s2, e in t.dots:
-            base = base * np.sum(vecs[s1] * vecs[s2], axis=1) ** e
+    coeffs = [t.coeff.to_complex() for t in poly.terms]
+    cplx = any(c.imag for c in coeffs)
+    out = np.zeros((3,) * L + (n,), dtype=complex if cplx else float)
+    cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}
+    dots, boxes = {}, {}
+    for t, c in zip(poly.terms, coeffs):
+        prod = np.full(n, c if cplx else c.real)
+        for d in t.dots:
+            if d not in dots:
+                dots[d] = np.sum(vecs[d[0]] * vecs[d[1]], axis=1) ** d[2]
+            prod = prod * dots[d]
         for b in t.boxes:
-            base = base * _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
-        if L == 0:
-            out += base
-            continue
-        for idx in product(range(3), repeat=L):
-            if any(idx[i] != idx[j] for i, j in t.deltas):
-                continue
-            fac = base
-            for s, slot in t.vecs:
-                fac = fac * vecs[s][:, idx[slot]]
-            for e in t.epses:
-                ws = [(_BASIS[idx[ent[1]]] if ent[0] == 'f' else vecs[ent[1]])
-                      for ent in e]
-                fac = fac * _det_rows(*ws)
-            out[idx] += fac
-    if np.max(np.abs(out.imag)) < 1e-12 * (1.0 + np.max(np.abs(out.real))):
+            if b not in boxes:
+                boxes[b] = _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
+            prod = prod * boxes[b]
+        axes, n_axes, sub = _delta_view(L, t.deltas)
+        for s, slot in t.vecs:
+            prod = prod * cols[s].reshape((3,) + (1,) * (n_axes - 1 - axes[slot])
+                                          + (n,))
+        for e in t.epses:
+            prod = prod * _eps_factor(e, axes, n_axes, cols)
+        view = np.einsum(sub, out) if t.deltas else out
+        view += prod
+    if cplx and np.max(np.abs(out.imag)) < 1e-12 * (1.0 + np.max(np.abs(out.real))):
         return out.real
     return out
 
@@ -233,7 +330,7 @@ def u_matrix(L: int) -> np.ndarray:
             m2 = M - m1
             if abs(m2) > 1:
                 continue
-            c = cg_float(L - 1, m1, 1, m2, L, M)
+            c = cg(L - 1, m1, 1, m2, L, M)
             if c:
                 out[M + L] += c * np.multiply.outer(prev[m1 + L - 1], u1[m2 + 1])
     out.setflags(write=False)
@@ -251,12 +348,20 @@ def rho_float(l: int) -> float:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """Outcome of one verify run.
+
+    max_rel_err is max_abs_err over the largest |spherical value| of any
+    sample and component; worst is {"sample": i, "m": M}, where the largest
+    absolute error sits.
+    """
     expr: str
     samples: int
     seed: int
     max_abs_err: float
     max_imag_leak: float
     passed: bool
+    max_rel_err: float
+    worst: dict
 
     def to_json(self) -> dict:
         return {
@@ -266,6 +371,8 @@ class VerifyReport:
             "max_abs_err": self.max_abs_err,
             "max_imag_leak": self.max_imag_leak,
             "pass": self.passed,
+            "max_rel_err": self.max_rel_err,
+            "worst": dict(self.worst),
         }
 
 
@@ -293,7 +400,7 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     L = result.poly.rank
     if result.true_scalar or L == 0:
         pred = rho_float(0) * P if not result.true_scalar else P
-        err = float(np.max(np.abs(S[0] - pred)))
+        abs_err = np.abs(S[:1] - pred)
         leak = float(np.max(np.abs(S[0].imag)))
     else:
         U = u_matrix(L)
@@ -301,12 +408,18 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
         axes = (tuple(range(L)), tuple(range(L)))
         preds = np.stack([pr * np.tensordot(U[mi], P, axes=axes)
                           for mi in range(2 * L + 1)])
-        err = float(np.max(np.abs(S - preds)))
+        abs_err = np.abs(S - preds)
         leak = 0.0
+    row, sample = np.unravel_index(int(np.argmax(abs_err)), abs_err.shape)
+    err = float(abs_err[row, sample])
+    scale = float(np.max(np.abs(S)))
+    rel = err / scale if scale else (0.0 if err == 0 else math.inf)
     passed = bool(err <= tol and leak <= tol)
     return VerifyReport(expr=render_expr_text(expr), samples=n_samples,
                         seed=seed, max_abs_err=err, max_imag_leak=leak,
-                        passed=passed)
+                        passed=passed, max_rel_err=rel,
+                        worst={"sample": int(sample),
+                               "m": int(row) - (abs_err.shape[0] - 1) // 2})
 
 
 # ---------------------------------------------------------------------------

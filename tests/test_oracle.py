@@ -1,14 +1,17 @@
 """Unit tests for the numeric oracle: harmonics, sampling, and verification."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from cartensor import oracle
+from cartensor.coeff import CoeffSum, atom
 from cartensor.oracle import (
     DEFAULT_SEED,
     UnitVector,
+    cg,
     eval_expr_components,
     eval_poly_batch,
     legendre,
@@ -20,8 +23,9 @@ from cartensor.oracle import (
     verify,
     ylm,
 )
-from cartensor.reduce import Couple, Harmonic
-from cartensor.tensor import harmonic_tensor
+from cartensor.parser import parse
+from cartensor.reduce import Couple, Harmonic, reduce_expr
+from cartensor.tensor import TensorPoly, TensorTerm, harmonic_tensor
 from cartensor.wigner import three_j
 
 Z_HAT = UnitVector(0.0, 0.0, 1.0)
@@ -108,6 +112,32 @@ class TestSampling:
         d = sample_unit_vectors(9, 8, ["a", "b"])
         assert not np.allclose(d["a"], d["b"])
 
+    def test_near_zero_draw_is_redrawn(self, monkeypatch):
+        plain = sample_unit_vectors(9, 6, ["a", "b"])
+        default_rng = np.random.default_rng
+
+        class ZeroFirstRowOfSample3:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.zero = seed[1] == 3
+
+            def normal(self, size):
+                v = self.rng.normal(size=size)
+                if self.zero:
+                    v[0], self.zero = 0.0, False
+                return v
+
+        monkeypatch.setattr(np.random, "default_rng", ZeroFirstRowOfSample3)
+        d = sample_unit_vectors(9, 6, ["a", "b"])
+        assert np.allclose(np.linalg.norm(d["a"], axis=1), 1.0, atol=1e-12)
+        keep = [0, 1, 2, 4, 5]
+        assert np.array_equal(d["a"][keep], plain["a"][keep])
+        assert np.array_equal(d["b"], plain["b"])
+        rng = default_rng([9, 3])
+        rng.normal(size=(2, 3))
+        again = rng.normal(size=3)
+        assert np.allclose(d["a"][3], again / np.linalg.norm(again), atol=1e-15)
+
 
 class TestUMatrixBridge:
     def test_rows_orthonormal(self):
@@ -170,7 +200,7 @@ class TestVerify:
         rep = verify("[Y[1](a) x Y[1](b)][2]", n_samples=10)
         obj = rep.to_json()
         assert set(obj) == {"expr", "samples", "seed", "max_abs_err",
-                            "max_imag_leak", "pass"}
+                            "max_imag_leak", "pass", "max_rel_err", "worst"}
         assert obj["pass"] is True
         assert obj["samples"] == 10
         assert obj["seed"] == DEFAULT_SEED
@@ -221,3 +251,206 @@ class TestEvalExpr:
         expr = Couple(Harmonic(2, "a"), Harmonic(2, "b"), 0)
         out = oracle.eval_expr(expr, {"a": vecs["a"], "b": vecs["b"]})
         assert abs(out[0].imag) < 1e-14
+
+
+class TestClebschGordan:
+    """The oracle's Clebsch-Gordan table, against sympy's exact values."""
+
+    def test_matches_sympy(self):
+        """Every coefficient with l1, l2 <= 6 within 1e-13.  sympy is asked for
+        l1 <= l2 and m3 >= 0; the rest follow from the exact symmetries
+        <l1 -m1 l2 -m2 | l3 -m3> = <l2 m2 l1 m1 | l3 m3>
+                                  = (-1)^(l1+l2-l3) <l1 m1 l2 m2 | l3 m3>."""
+        wigner = pytest.importorskip("sympy.physics.wigner")
+        for l1 in range(7):
+            for l2 in range(l1, 7):
+                for l3 in range(l2 - l1, l1 + l2 + 1):
+                    parity = (-1) ** (l1 + l2 - l3)
+                    for m1, m2 in product(range(-l1, l1 + 1), range(-l2, l2 + 1)):
+                        m3 = m1 + m2
+                        if not 0 <= m3 <= l3:
+                            continue
+                        want = float(wigner.clebsch_gordan(l1, l2, l3, m1, m2, m3))
+                        for got, sign in ((cg(l1, m1, l2, m2, l3, m3), 1),
+                                          (cg(l1, -m1, l2, -m2, l3, -m3), parity),
+                                          (cg(l2, m2, l1, m1, l3, m3), parity),
+                                          (cg(l2, -m2, l1, -m1, l3, -m3), 1)):
+                            assert abs(got - sign * want) <= 1e-13, (l1, m1, l2, m2, l3)
+
+    def test_outside_range_is_zero(self):
+        assert cg(1, 1, 1, 0, 1, 0) == 0.0      # m1 + m2 != m3
+        assert cg(1, 0, 1, 0, 3, 0) == 0.0      # l3 > l1 + l2
+        assert cg(2, 2, 2, 1, 2, 3) == 0.0      # |m3| > l3
+
+
+# ---------------------------------------------------------------------------
+# Cartesian evaluation against a per-index reference
+# ---------------------------------------------------------------------------
+
+def _det_rows(w1, w2, w3):
+    c = np.cross(w2, w3)
+    return np.sum(np.atleast_2d(w1) * np.atleast_2d(c), axis=-1)
+
+
+def _reference_eval(poly, vecs, n):
+    """Evaluate term by term and index tuple by index tuple."""
+    L = poly.rank
+    out = np.zeros((3,) * L + (n,), dtype=complex)
+    basis = np.eye(3)
+    for t in poly.terms:
+        base = np.full(n, t.coeff.to_complex())
+        for s1, s2, e in t.dots:
+            base = base * np.sum(vecs[s1] * vecs[s2], axis=1) ** e
+        for b in t.boxes:
+            base = base * _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
+        if L == 0:
+            out += base
+            continue
+        for idx in product(range(3), repeat=L):
+            if any(idx[i] != idx[j] for i, j in t.deltas):
+                continue
+            fac = base
+            for s, slot in t.vecs:
+                fac = fac * vecs[s][:, idx[slot]]
+            for e in t.epses:
+                ws = [(basis[idx[ent[1]]] if ent[0] == 'f' else vecs[ent[1]])
+                      for ent in e]
+                fac = fac * _det_rows(*ws)
+            out[idx] += fac
+    if np.max(np.abs(out.imag)) < 1e-12 * (1.0 + np.max(np.abs(out.real))):
+        return out.real
+    return out
+
+
+def _term(rat, radicand=1, i_pow=0, **factors):
+    return TensorTerm(CoeffSum.from_atom(atom(rat, radicand, 0, i_pow)), **factors)
+
+
+def F(slot):
+    return ('f', slot)
+
+
+def S(sym):
+    return ('s', sym)
+
+
+HAND_POLYS = {
+    "rank0": TensorPoly(0, (
+        _term(3, dots=(("a", "b", 2), ("b", "c", 1))),
+        _term(-1, 5, dots=(("a", "c", 3),), boxes=(("a", "b", "c"),)),
+        _term(2),
+    )),
+    "vectors": TensorPoly(3, (
+        _term(1, 2, vecs=(("a", 0), ("b", 1), ("a", 2))),
+        _term(-2, vecs=(("c", 0), ("c", 1), ("b", 2)), dots=(("a", "b", 4),)),
+    )),
+    "deltas": TensorPoly(5, (
+        _term(1, deltas=((0, 2), (1, 3)), vecs=(("c", 4),)),
+        _term(-3, deltas=((0, 4),), vecs=(("a", 1), ("b", 2), ("a", 3))),
+    )),
+    "delta_alone": TensorPoly(2, (
+        _term(7, 3, deltas=((0, 1),), dots=(("a", "b", 3),)),
+    )),
+    "eps1": TensorPoly(2, (
+        _term(1, epses=((F(0), S("a"), S("b")),), vecs=(("c", 1),)),
+        _term(2, epses=((S("a"), F(1), S("c")),), vecs=(("b", 0),)),
+        _term(-1, epses=((S("b"), S("c"), F(0)),), vecs=(("a", 1),),
+              dots=(("a", "c", 2),)),
+    )),
+    "eps2": TensorPoly(3, (
+        _term(1, epses=((F(0), F(2), S("a")),), vecs=(("b", 1),)),
+        _term(-4, 3, epses=((F(1), S("c"), F(2)),), vecs=(("a", 0),)),
+        _term(5, epses=((F(2), F(0), S("b")),), vecs=(("c", 1),)),
+    )),
+    "eps3": TensorPoly(5, (
+        _term(1, epses=((F(1), F(2), F(4)),), vecs=(("a", 0), ("b", 3))),
+        _term(-2, epses=((F(0), F(3), F(4)),), deltas=((1, 2),)),
+        _term(3, epses=((F(4), F(1), F(3)),), deltas=((0, 2),)),
+    )),
+    "boxes": TensorPoly(1, (
+        _term(3, 7, vecs=(("a", 0),), boxes=(("a", "b", "c"),),
+              dots=(("b", "c", 2),)),
+        _term(1, vecs=(("c", 0),)),
+    )),
+    "imaginary": TensorPoly(2, (
+        _term(1, 2, i_pow=1, vecs=(("a", 0), ("b", 1))),
+        _term(1, deltas=((0, 1),)),
+    )),
+}
+
+
+class TestEvalPolyBatch:
+    """eval_poly_batch against the per-index reference, on every factor kind."""
+
+    @pytest.fixture(scope="class")
+    def vecs(self):
+        return sample_unit_vectors(31, 17, ["a", "b", "c"])
+
+    def _check(self, poly, vecs, n):
+        got = eval_poly_batch(poly, vecs, n)
+        want = _reference_eval(poly, vecs, n)
+        assert got.shape == (3,) * poly.rank + (n,)
+        assert np.iscomplexobj(got) == np.iscomplexobj(want)
+        scale = float(np.max(np.abs(want)))
+        assert scale > 0
+        assert float(np.max(np.abs(got - want))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("name", sorted(HAND_POLYS))
+    def test_hand_built(self, name, vecs):
+        self._check(HAND_POLYS[name], vecs, 17)
+
+    def test_imaginary_coefficient_returns_complex(self, vecs):
+        assert np.iscomplexobj(eval_poly_batch(HAND_POLYS["imaginary"], vecs, 17))
+        assert not np.iscomplexobj(eval_poly_batch(HAND_POLYS["eps1"], vecs, 17))
+
+    @pytest.mark.parametrize("text", [
+        "[Y[2](a) x Y[2](b)][1]",
+        "[[Y[2](a) x Y[1](b)][2] x Y[2](c)][3]",
+        "[[Y[1](a) x Y[2](b)][2] x Y[1](c)][2]",
+        "[Y[3](a) x Y[2](b)][4]",
+    ])
+    def test_reductions(self, text, vecs):
+        self._check(reduce_expr(parse(text)).poly, vecs, 17)
+
+    def test_single_configuration(self, vecs):
+        one = {s: v[:1] for s, v in vecs.items()}
+        for poly in HAND_POLYS.values():
+            self._check(poly, one, 1)
+
+
+class TestVerifyLocation:
+    def test_worst_points_at_corrupted_component(self, monkeypatch):
+        """A wrong z entry at one sample of a rank-1 result is a wrong m = 0
+        component at that sample and nowhere else."""
+        expr = parse("[Y[2](a) x Y[1](b)][1]")
+        evaluate = oracle.eval_poly_batch
+
+        def corrupted(poly, vecs, n):
+            P = evaluate(poly, vecs, n).copy()
+            P[2, 7] += 1e-3
+            return P
+
+        monkeypatch.setattr(oracle, "eval_poly_batch", corrupted)
+        rep = verify(expr, n_samples=12)
+        assert rep.worst == {"sample": 7, "m": 0}
+        assert rep.to_json()["worst"] == {"sample": 7, "m": 0}
+        assert not rep.passed
+        assert rep.max_abs_err == pytest.approx(rho_float(1) * 1e-3, rel=1e-6)
+        vecs = sample_unit_vectors(DEFAULT_SEED, 12, ["a", "b"])
+        scale = np.max(np.abs(eval_expr_components(expr, vecs)))
+        assert rep.max_rel_err == pytest.approx(rep.max_abs_err / scale, rel=1e-12)
+
+    def test_scalar_report(self):
+        expr = parse("[Y[3](a) x Y[3](b)][0]")
+        rep = verify(expr, n_samples=15)
+        assert rep.passed
+        assert rep.worst["m"] == 0 and 0 <= rep.worst["sample"] < 15
+        vecs = sample_unit_vectors(DEFAULT_SEED, 15, ["a", "b"])
+        scale = np.max(np.abs(eval_expr_components(expr, vecs)))
+        assert rep.max_rel_err == pytest.approx(rep.max_abs_err / scale, rel=1e-12)
+
+
+def test_high_degree_verify():
+    """Y[9] is a rank-9 tensor of 2620 terms: 3^9 index tuples per term."""
+    rep = verify("Y[9](a)", n_samples=20)
+    assert rep.passed, rep.to_json()
