@@ -6,12 +6,15 @@ Subcommands:
     corpus  [--check | --regen] [--file PATH] [--samples N] [--tol T] [--seed S]
 
 Exit codes: 0 success / verification passed; 1 verification or corpus check
-failed; 2 malformed input (parse or semantic error, usage error).  Parse
-diagnostics go to stderr with a caret marking the offending span; stdout
-carries only the requested output.
+failed; 2 malformed input (parse or semantic error, usage error, unreadable
+or malformed corpus file).  Parse diagnostics go to stderr with a caret
+marking the offending span; stdout carries only the requested output.
 
 The verify seed is resolved as: --seed flag, else the CARTENSOR_SEED
-environment variable, else the built-in default.
+environment variable, else the built-in default.  A seed is an integer >= 0.
+
+corpus --regen reads the bundled corpus file, re-derives each entry's
+expected result, and writes the file to --file (default: the bundled file).
 """
 
 from __future__ import annotations
@@ -26,83 +29,6 @@ from .parser import (ExprError, format_error, parse, render_json,
                      render_latex, render_text, result_to_obj)
 from .reduce import reduce_expr
 
-# ---------------------------------------------------------------------------
-# Bundled regression corpus: id, expression, curation note.
-# Expressions follow the classic reference listing of scalar couplings;
-# entries whose listed text is typographically damaged were repaired by
-# degree counting, exchange-symmetry arguments, and constant cross-ratios
-# (see the notes), and every stored value is oracle-verified on regeneration.
-# ---------------------------------------------------------------------------
-
-CORPUS_ENTRIES = [
-    ("A1", "[Y[2](a) x [Y[1](b) x Y[3](c)][2]][0]",
-     "third degree reads 1 in the reference listing; degree counting fixes it to 3"),
-    ("A2", "[[Y[2](a) x Y[2](b)][2] x Y[2](c)][0]",
-     "matches the reference listing"),
-    ("A3", "[Y[1](a) x [Y[1](b) x Y[2](c)][1]][0]",
-     "matches the reference listing"),
-    ("A4", "[[Y[1](a) x Y[1](b)][2] x [Y[1](c) x Y[1](d)][2]][0]",
-     "constant in the reference listing (3/(8*sqrt(2)*pi^2)) is too large by "
-     "2*sqrt(10); stored value is oracle-verified"),
-    ("A5", "[[Y[1](a) x Y[1](b)][2] x [Y[3](c) x Y[1](d)][2]][0]",
-     "degrees of the b/c/d factors are garbled in the reference listing; "
-     "repaired by degree counting"),
-    ("A6", "[[Y[1](a) x Y[3](b)][2] x [Y[1](c) x Y[3](d)][2]][0]",
-     "constant in the reference listing (3*sqrt(50)/(160*pi^2)) is too large "
-     "by sqrt(10); the integer term pattern matches"),
-    ("A7", "[[Y[2](a) x Y[2](b)][1] x [Y[1](c) x Y[1](d)][1]][0]",
-     "the reference listing misplaces one factor inside the braces; repaired "
-     "by degree counting"),
-    ("A8", "[[Y[2](a) x Y[2](b)][2] x [Y[1](c) x Y[1](d)][2]][0]",
-     "matches the reference listing"),
-    ("A9", "[[Y[2](a) x Y[2](b)][2] x [Y[1](c) x Y[3](d)][2]][0]",
-     "exponent typo '(b.d)1' in the reference listing; stored value is "
-     "oracle-verified"),
-    ("A10", "[[[Y[2](a) x Y[2](b)][1] x Y[2](c)][1] x [Y[2](d) x Y[2](e)][1]][0]",
-     "degree of the b factor and one bracket are garbled in the reference "
-     "listing; repaired by degree counting and constant cross-ratios"),
-    ("A11", "[[[Y[2](a) x Y[2](b)][1] x Y[2](c)][2] x [Y[2](d) x Y[2](e)][2]][0]",
-     "matches the reference listing"),
-    ("A12", "[[[Y[2](a) x Y[2](b)][2] x Y[2](c)][1] x [Y[2](d) x Y[2](e)][1]][0]",
-     "matches the reference listing"),
-    ("A13", "[[[Y[2](a) x Y[2](b)][2] x Y[2](c)][2] x [Y[2](d) x Y[2](e)][2]][0]",
-     "one sign in the reference listing violates the a<->b mirror symmetry; "
-     "the stored form is oracle-verified"),
-    ("A14", "[[[Y[2](a) x Y[2](b)][1] x Y[2](c)][1] x [Y[1](d) x Y[1](e)][1]][0]",
-     "degree token for d is illegible in the reference listing (fixed to 1)"),
-    ("A15", "[[[Y[2](a) x Y[2](b)][1] x Y[2](c)][2] x [Y[1](d) x Y[1](e)][2]][0]",
-     "matches the reference listing"),
-    ("A16", "[[[Y[2](a) x Y[2](b)][2] x Y[2](c)][1] x [Y[1](d) x Y[1](e)][1]][0]",
-     "matches the reference listing"),
-    ("A17", "[[[Y[2](a) x Y[2](b)][2] x Y[2](c)][2] x [Y[1](d) x Y[1](e)][2]][0]",
-     "'(re)' token in the reference listing read as (c.e); stored value is "
-     "oracle-verified"),
-    ("A18", "[[[Y[2](a) x Y[2](b)][1] x Y[2](c)][2] x [Y[1](d) x Y[3](e)][2]][0]",
-     "matches the reference listing"),
-    ("A19", "[[[Y[2](a) x Y[2](b)][2] x Y[2](c)][2] x [Y[1](d) x Y[3](e)][2]][0]",
-     "matches the reference listing"),
-    ("A20", "[[[Y[1](a) x Y[1](b)][1] x Y[2](c)][1] x [Y[1](d) x Y[1](e)][1]][0]",
-     "the reference listing's label is inconsistent with its own terms (its "
-     "parity would force box products); reconstructed so terms and constant "
-     "agree"),
-    ("A21", "[[[Y[1](a) x Y[1](b)][2] x Y[2](c)][2] x [Y[1](d) x Y[1](e)][2]][0]",
-     "matches the reference listing"),
-    ("A22", "[[[Y[1](a) x Y[1](b)][1] x Y[2](c)][2] x [Y[1](d) x Y[3](e)][2]][0]",
-     "letter collisions and a misplaced bracket in the reference listing; "
-     "reconstructed via constant cross-ratios"),
-    ("A23", "[[[Y[1](a) x Y[1](b)][2] x Y[2](c)][2] x [Y[1](d) x Y[3](e)][2]][0]",
-     "label letter collision fixed (third factor is c); '(re)' read as (c.e)"),
-    ("A24", "[[[Y[1](a) x Y[3](b)][2] x Y[2](c)][1] x [Y[1](d) x Y[1](e)][1]][0]",
-     "label letter collision fixed (third factor is c); '(re)' read as (c.e)"),
-    ("A25", "[[[Y[1](a) x Y[3](b)][2] x Y[2](c)][2] x [Y[1](d) x Y[1](e)][2]][0]",
-     "matches the reference listing"),
-    ("A26", "[[[Y[1](a) x Y[3](b)][2] x Y[2](c)][2] x [Y[1](d) x Y[3](e)][2]][0]",
-     "four illegible/misprinted tokens in the reference listing (its first "
-     "(b.e)^2 monomial is really (b.c)^2, which also resolves the apparent "
-     "duplicate); integers otherwise match"),
-]
-
-
 def _default_corpus_path():
     from importlib import resources
     return resources.files("cartensor").joinpath("data", "appendix.jsonl")
@@ -112,6 +38,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -128,9 +61,9 @@ def _resolve_seed(args) -> int | None:
     env = os.environ.get("CARTENSOR_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            print(f"error: CARTENSOR_SEED must be an integer, got {env!r}",
+            return non_negative_int(env)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"error: CARTENSOR_SEED must be an integer >= 0, got {env!r}",
                   file=sys.stderr)
             return None
     return DEFAULT_SEED
@@ -170,14 +103,49 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class CorpusFileError(ValueError):
+    """A corpus file line that is not a well-formed entry."""
+
+
 def _load_corpus(path) -> list:
+    """The entries of a corpus file, one JSON object per non-blank line.
+
+    The bundled file is the only source of the corpus.  Its expressions follow
+    the classic reference listing of scalar couplings; entries whose listed
+    text is typographically damaged were repaired by degree counting,
+    exchange-symmetry arguments, and constant cross-ratios (see the notes), and
+    every stored value is oracle-verified on regeneration.  Raises
+    CorpusFileError naming the line of an entry that is not an object with a
+    string id, a string expr and an object expected.
+    """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except (ValueError, RecursionError) as e:
+                raise CorpusFileError(f"corpus file line {n}: not JSON ({e})") from None
+            if not isinstance(entry, dict):
+                raise CorpusFileError(f"corpus file line {n}: not a JSON object")
+            for key, kind, what in (("id", str, "a string"), ("expr", str, "a string"),
+                                    ("expected", dict, "an object")):
+                if not isinstance(entry.get(key), kind):
+                    raise CorpusFileError(
+                        f"corpus file line {n}: '{key}' must be {what}")
+            entries.append(entry)
     return entries
+
+
+def _read_corpus(path) -> list | None:
+    try:
+        return _load_corpus(path)
+    except (OSError, UnicodeDecodeError) as e:
+        print(f"error: cannot read corpus file: {e}", file=sys.stderr)
+    except CorpusFileError as e:
+        print(f"error: {e}", file=sys.stderr)
+    return None
 
 
 def cmd_corpus(args) -> int:
@@ -190,36 +158,35 @@ def cmd_corpus(args) -> int:
     path = args.file if args.file else _default_corpus_path()
 
     if args.regen:
+        entries = _read_corpus(_default_corpus_path())
+        if entries is None:
+            return 2
         lines = []
-        for cid, expr_s, note in CORPUS_ENTRIES:
-            expr = _parse_or_report(expr_s)
+        for entry in entries:
+            expr = _parse_or_report(entry["expr"])
             if expr is None:
                 return 2
             result = reduce_expr(expr)
             rep = verify(expr, n_samples=args.samples, tol=args.tol, seed=seed,
                          result=result)
             if not rep.passed:
-                print(f"{cid}: oracle check failed "
+                print(f"{entry['id']}: oracle check failed "
                       f"(max_abs_err={rep.max_abs_err:.3e}); corpus not written",
                       file=sys.stderr)
                 return 1
-            lines.append(json.dumps({"id": cid, "expr": expr_s,
-                                     "expected": result_to_obj(result),
-                                     "note": note}))
+            lines.append(json.dumps(dict(entry, expected=result_to_obj(result))))
         with open(str(path), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(lines)} entries to {path}")
         return 0
 
-    try:
-        entries = _load_corpus(path)
-    except OSError as e:
-        print(f"error: cannot read corpus file: {e}", file=sys.stderr)
+    entries = _read_corpus(path)
+    if entries is None:
         return 2
     failures = []
     npass = 0
     for entry in entries:
-        cid = entry.get("id", "?")
+        cid = entry["id"]
         try:
             expr = parse(entry["expr"])
         except ExprError as e:
@@ -264,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("expr")
     p_ver.add_argument("--samples", type=positive_int, default=200)
     p_ver.add_argument("--tol", type=positive_float, default=1e-10)
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument("--seed", type=non_negative_int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     p_cor = sub.add_parser("corpus", help="check or regenerate the bundled "
@@ -273,13 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="re-reduce every entry, compare against the stored "
                             "result, and oracle-verify (default action)")
     p_cor.add_argument("--regen", action="store_true",
-                       help="rewrite the stored corpus from the engine "
-                            "(refuses if any entry fails the oracle)")
+                       help="re-derive the expected result of every bundled "
+                            "entry and write the corpus to --file (refuses if "
+                            "any entry fails the oracle)")
     p_cor.add_argument("--file", default=None,
                        help="alternate corpus file (default: bundled)")
     p_cor.add_argument("--samples", type=positive_int, default=200)
     p_cor.add_argument("--tol", type=positive_float, default=1e-10)
-    p_cor.add_argument("--seed", type=int, default=None)
+    p_cor.add_argument("--seed", type=non_negative_int, default=None)
     p_cor.set_defaults(func=cmd_corpus)
     return ap
 

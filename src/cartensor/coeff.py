@@ -10,19 +10,17 @@ constant produced by the reduction engine (Clebsch-Gordan coefficients, 3j symbo
 coupling normalizations, spherical prefactors) lives in this set, so all engine
 arithmetic is exact; floats appear only in the numeric cross-check oracle.
 
-A CoeffSum holds one invariant: its atoms are in strict canonical form (nonzero
-rat, square-free positive integer radicand, i_pow in {0, 1}) and sorted by the
-key (radicand, pi_half, i_pow), one atom per key.  Equal values therefore have
-equal sums, and cancellation to zero is structural.  CoeffSum.from_atoms (with
-from_atom) is the only place an arbitrary atom enters a sum; it normalizes
-through atom_canonical.  add, neg, scale and mul take canonical sums to a
+Atoms have one normal form, atom_canonical: nonzero rat (or the unique zero),
+square-free positive integer radicand, i_pow in {0, 1}.  Equal values have
+equal canonical atoms.  atom() and atom_mul() return that form.
+
+A CoeffSum holds canonical atoms sorted by the key (radicand, pi_half, i_pow),
+one atom per key, so equal values have equal sums and cancellation to zero is
+structural.  CoeffSum.from_atoms (with from_atom) is the only place an
+arbitrary atom enters a sum.  add, neg, scale and mul take canonical sums to a
 canonical sum without factoring anything: the product of square-free radicands
 f1, f2 with g = gcd(f1, f2) is g**2 * (f1//g) * (f2//g), and (f1//g) * (f2//g)
 is square-free again.
-
-Outside sums, atoms are built with atom(), which applies the gentler
-normalize_atom() (a rational radicand with its square factors pulled out, i_pow
-reduced mod 4).  Both normal forms represent the same value.
 """
 
 from __future__ import annotations
@@ -124,46 +122,28 @@ class CoeffAtom:
                 f"pi^({self.pi_half}/2), i^{self.i_pow})")
 
 
+@lru_cache(maxsize=None)
+def _radicand(n: int) -> Fraction:
+    return Fraction(n)
+
+
 def atom(rat, radicand=1, pi_half: int = 0, i_pow: int = 0) -> CoeffAtom:
-    """Convenience constructor, normalized."""
-    return normalize_atom(CoeffAtom(Fraction(rat), Fraction(radicand), pi_half, i_pow))
+    """Convenience constructor, in canonical form."""
+    return atom_canonical(CoeffAtom(Fraction(rat), Fraction(radicand), pi_half, i_pow))
 
 
 ATOM_ONE = CoeffAtom(Fraction(1))
 ATOM_ZERO = CoeffAtom(Fraction(0))
 
 
-def normalize_atom(a: CoeffAtom) -> CoeffAtom:
-    """Pull square factors out of the radicand and reduce i_pow mod 4.
-
-    Examples: sqrt(8) -> 2*sqrt(2); (1/3)*sqrt(9/2) -> sqrt(1/2); i^6 -> i^2.
-    Idempotent.  A zero atom collapses to the unique zero.
-    """
-    if a.rat == 0:
-        return ATOM_ZERO
-    sn, fn = square_free_split(a.radicand.numerator)
-    sd, fd = square_free_split(a.radicand.denominator)
-    return CoeffAtom(a.rat * Fraction(sn, sd), Fraction(fn, fd), a.pi_half, a.i_pow % 4)
-
-
-def atom_mul(a: CoeffAtom, b: CoeffAtom) -> CoeffAtom:
-    """Exact product of two atoms, normalized."""
-    return normalize_atom(CoeffAtom(
-        a.rat * b.rat,
-        a.radicand * b.radicand,
-        a.pi_half + b.pi_half,
-        a.i_pow + b.i_pow,
-    ))
-
-
 def atom_canonical(a: CoeffAtom) -> CoeffAtom:
-    """Strict canonical form used for CoeffSum keys.
+    """The normal form of an atom's value.
 
-    radicand becomes a square-free positive integer (sqrt(n/d) = sqrt(n*d)/d),
-    and i_pow is folded into {0, 1} with the sign moved into rat.  Distinct
-    strict forms therefore always denote distinct values.
+    sqrt(n/d) = s*sqrt(f)/d with n*d = s**2 * f and f square-free; i_pow is
+    folded into {0, 1} with the sign moved into rat.  Examples: sqrt(8) ->
+    2*sqrt(2); (1/3)*sqrt(9/2) -> (1/2)*sqrt(2); i^6 -> -1.  Idempotent;
+    distinct canonical atoms denote distinct values.
     """
-    a = normalize_atom(a)
     if a.rat == 0:
         return ATOM_ZERO
     n, d = a.radicand.numerator, a.radicand.denominator
@@ -173,22 +153,27 @@ def atom_canonical(a: CoeffAtom) -> CoeffAtom:
     if i_pow >= 2:
         rat = -rat
         i_pow -= 2
-    return CoeffAtom(rat, Fraction(f), a.pi_half, i_pow)
+    return CoeffAtom(rat, _radicand(f), a.pi_half, i_pow)
+
+
+def atom_mul(a: CoeffAtom, b: CoeffAtom) -> CoeffAtom:
+    """Exact product of two atoms, in canonical form."""
+    return atom_canonical(CoeffAtom(
+        a.rat * b.rat,
+        a.radicand * b.radicand,
+        a.pi_half + b.pi_half,
+        a.i_pow + b.i_pow,
+    ))
 
 
 def _key(a: CoeffAtom) -> tuple[int, int, int]:
-    # a must be in strict canonical form
+    # a must be canonical
     return (a.radicand.numerator, a.pi_half, a.i_pow)
 
 
 # ---------------------------------------------------------------------------
 # CoeffSum
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _radicand(n: int) -> Fraction:
-    return Fraction(n)
-
 
 def _collect(acc: dict) -> "CoeffSum":
     """CoeffSum from {key: rat}, dropping zero coefficients."""
@@ -198,7 +183,7 @@ def _collect(acc: dict) -> "CoeffSum":
 
 @dataclass(frozen=True)
 class CoeffSum:
-    """Canonical sum of strict-form atoms, keyed by (radicand, pi_half, i_pow)."""
+    """Canonical sum of canonical atoms, keyed by (radicand, pi_half, i_pow)."""
 
     atoms: tuple[CoeffAtom, ...] = ()
 
@@ -226,9 +211,6 @@ class CoeffSum:
     @property
     def is_real(self) -> bool:
         return all(a.i_pow == 0 for a in self.atoms)
-
-    def is_single(self) -> bool:
-        return len(self.atoms) == 1
 
     # -- arithmetic -------------------------------------------------------
 
@@ -278,12 +260,6 @@ class CoeffSum:
     def to_complex(self) -> complex:
         return sum((a.to_complex() for a in self.atoms), 0j)
 
-    def to_float(self):
-        z = self.to_complex()
-        if z.imag == 0.0:
-            return z.real
-        return z
-
 
 SUM_ZERO = CoeffSum(())
 SUM_ONE = CoeffSum.from_atom(ATOM_ONE)
@@ -294,7 +270,7 @@ SUM_ONE = CoeffSum.from_atom(ATOM_ONE)
 # ---------------------------------------------------------------------------
 
 def sqrt_rational(x) -> CoeffAtom:
-    """sqrt(x) for rational x > 0, as a normalized atom."""
+    """sqrt(x) for rational x > 0, as a canonical atom."""
     return atom(1, Fraction(x))
 
 

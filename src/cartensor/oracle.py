@@ -403,11 +403,8 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
         abs_err = np.abs(S[:1] - pred)
         leak = float(np.max(np.abs(S[0].imag)))
     else:
-        U = u_matrix(L)
-        pr = rho_float(L)
-        axes = (tuple(range(L)), tuple(range(L)))
-        preds = np.stack([pr * np.tensordot(U[mi], P, axes=axes)
-                          for mi in range(2 * L + 1)])
+        U = u_matrix(L).reshape(2 * L + 1, 3 ** L)
+        preds = rho_float(L) * (U @ P.reshape(3 ** L, n_samples))
         abs_err = np.abs(S - preds)
         leak = 0.0
     row, sample = np.unravel_index(int(np.argmax(abs_err)), abs_err.shape)
@@ -461,3 +458,63 @@ def legendre_coeffs(l: int) -> dict:
                      2 ** l)
         out[l - 2 * k] = c
     return out
+
+
+# ---------------------------------------------------------------------------
+# Closed-form rank-1 pair identities
+# ---------------------------------------------------------------------------
+
+def reduce_pair_identities(l1: int, l2: int, samples: int = 50,
+                           seed: int | None = None) -> dict:
+    """Numerically confirm the closed rank-1 forms for [Y^[l1](a) x Y^[l2](b)][1].
+
+    Two families are covered: equal degrees (l, l), whose value is
+      (-i/4pi) sqrt(3(2l+1)/(l(l+1))) P_l'(a.b) (a x b)_m,
+    and consecutive degrees (l-1, l), whose value is
+      (-i/4pi) sqrt(3/l) [P_l'(a.b) b_m - ((l-1) P_{l-2}(a.b)
+                          + (a.b) P_{l-2}'(a.b)) a_m],
+    with standard spherical components on the right-hand sides and the
+    conventions P_{-1} = 1, P_{-1}' = 0.  Returns a small report dict; the
+    comparison is against the direct oracle evaluation of the coupled
+    harmonics, so it is independent of the symbolic engine.
+    """
+    if l1 == l2 and l1 >= 1:
+        form = "equal"
+        l = l1
+    elif l2 == l1 + 1:
+        form = "consecutive"
+        l = l2
+    else:
+        raise ValueError("supported pairs: (l, l) with l>=1, or (l-1, l)")
+    if seed is None:
+        seed = DEFAULT_SEED
+    expr = Couple(Harmonic(l1, 'a'), Harmonic(l2, 'b'), 1)
+    vecs = sample_unit_vectors(seed, samples, ['a', 'b'])
+    a, b = vecs['a'], vecs['b']
+    x = np.sum(a * b, axis=1)
+    direct = eval_expr_components(expr, vecs)  # shape (3, samples), m=-1,0,1
+
+    def std_components(v):
+        # standard spherical components of a real vector, rows m = -1, 0, +1
+        return np.stack([
+            (v[:, 0] - 1j * v[:, 1]) / np.sqrt(2.0),
+            v[:, 2] + 0j,
+            -(v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0),
+        ])
+
+    if form == "equal":
+        pref = -1j / (4 * np.pi) * np.sqrt(3 * (2 * l + 1) / (l * (l + 1)))
+        cross = np.cross(a, b)
+        closed = pref * legendre_prime(l, x) * std_components(cross)
+    else:
+        pref = -1j / (4 * np.pi) * np.sqrt(3 / l)
+        closed = pref * (
+            legendre_prime(l, x) * std_components(b)
+            - ((l - 1) * legendre(l - 2, x)
+               + x * legendre_prime(l - 2, x)) * std_components(a))
+
+    err = float(np.max(np.abs(direct - closed)))
+    return {
+        "l1": l1, "l2": l2, "form": form, "samples": samples, "seed": seed,
+        "max_abs_err": err, "pass": err <= 1e-10,
+    }

@@ -19,11 +19,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .coeff import CoeffAtom, atom_to_json
-from .reduce import Couple, CouplingExpr, Harmonic, ReductionResult
-from .wigner import triangle_ok
+from .reduce import (Couple, CouplingExpr, Harmonic, InvalidExpr,
+                     ReductionResult, validate_expr)
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -167,37 +168,11 @@ def parse(source: str) -> CouplingExpr:
     if tok is not None:
         raise ExprSyntaxError("unexpected trailing input", source,
                               SourceSpan(tok[2], len(source)))
-    _validate_spans(expr, source)
+    try:
+        validate_expr(expr)
+    except InvalidExpr as e:
+        raise ExprSemanticError(str(e), source, e.node.span) from None
     return expr
-
-
-def _validate_spans(expr: CouplingExpr, source: str) -> None:
-    seen: dict = {}
-    for leaf in _leaves(expr):
-        if leaf.v in seen:
-            raise ExprSemanticError(
-                f"vector symbol '{leaf.v}' used more than once", source, leaf.span)
-        seen[leaf.v] = leaf
-
-    def rec(node) -> int:
-        if isinstance(node, Harmonic):
-            return node.l
-        l1, l2 = rec(node.left), rec(node.right)
-        if not triangle_ok(l1, l2, node.L):
-            raise ExprSemanticError(
-                f"triangle rule violated: cannot couple ranks ({l1},{l2}) to {node.L}",
-                source, node.span)
-        return node.L
-
-    rec(expr)
-
-
-def _leaves(expr: CouplingExpr):
-    if isinstance(expr, Harmonic):
-        yield expr
-    else:
-        yield from _leaves(expr.left)
-        yield from _leaves(expr.right)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +194,7 @@ def render_expr_latex(expr: CouplingExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Result renderers
+# Result renderers: one display model, one token style per format
 # ---------------------------------------------------------------------------
 
 _SLOT_NAMES = "ijklmnpqrstu"
@@ -235,241 +210,141 @@ def _term_degree(t) -> int:
     return deg
 
 
-def _display_terms(poly):
-    return sorted(poly.terms, key=lambda t: (-_term_degree(t), t.key))
-
-
-def _monomial_text(t) -> str:
-    parts = []
-    for s1, s2, e in t.dots:
-        base = f"({s1}.{s2})"
-        parts.append(base if e == 1 else f"{base}^{e}")
-    for b in t.boxes:
-        parts.append(f"box({b[0]},{b[1]},{b[2]})")
-    for s, i in t.vecs:
-        parts.append(f"{s}[{_slot(i)}]")
-    for i, j in t.deltas:
-        parts.append(f"d({_slot(i)},{_slot(j)})")
-    for e in t.epses:
-        ents = ",".join(_slot(x[1]) if x[0] == 'f' else x[1] for x in e)
-        parts.append(f"eps({ents})")
-    return "*".join(parts)
-
-
-def _pi_text(pi_half: int) -> str:
-    # magnitude part only; sign of the exponent chooses numerator/denominator
-    h = abs(pi_half)
-    if h == 1:
-        return "sqrt(pi)"
-    if h == 2:
-        return "pi"
-    if h % 2 == 0:
-        return f"pi^{h // 2}"
-    return f"pi^({h}/2)"
-
-
-def _atom_text(a: CoeffAtom) -> str:
-    """Positive atom in display form p*sqrt(s')/(q'*sqrt(c)*pi^...)."""
-    p, q = a.rat.numerator, a.rat.denominator
-    s = int(a.radicand)  # canonical atoms have integer square-free radicand
-    # move the largest square-free divisor of s that divides q under the bar
-    c = 1
-    for d in range(s, 0, -1):
-        if s % d == 0 and q % d == 0:
-            c = d
-            break
-    num_parts = []
-    if a.i_pow % 4 == 1:
-        num_parts.append("i")
-    s_top = s // c
-    if p != 1 or (s_top == 1 and not num_parts and a.pi_half <= 0):
-        num_parts.append(str(p))
-    if s_top != 1:
-        num_parts.append(f"sqrt({s_top})")
-    if a.pi_half > 0:
-        num_parts.append(_pi_text(a.pi_half))
-    if not num_parts:
-        num_parts.append("1")
-    den_parts = []
-    q_bot = q // c
-    if q_bot != 1:
-        den_parts.append(str(q_bot))
-    if c != 1:
-        den_parts.append(f"sqrt({c})")
-    if a.pi_half < 0:
-        den_parts.append(_pi_text(a.pi_half))
-    num = "*".join(num_parts)
-    if not den_parts:
-        return num
-    den = "*".join(den_parts)
-    if len(den_parts) > 1:
-        den = f"({den})"
-    return f"{num}/{den}"
-
-
 def _common_factor(poly):
-    """Factor the polynomial as positive_atom * (signed integer terms).
+    """Factor a nonzero polynomial as sign * positive atom * (integer terms).
 
-    Returns (atom, [(int_coeff, term), ...] in display order), or None when the
-    term coefficients do not share a single atom shape."""
-    terms = _display_terms(poly)
-    key = None
+    Returns (sign, atom, [(int_coeff, term), ...]) with the terms in display
+    order and the first integer positive.  Every term coefficient must be one
+    atom of a shape (radicand, pi_half, i_pow) shared by all terms."""
+    terms = sorted(poly.terms, key=lambda t: (-_term_degree(t), t.key))
+    base = terms[0].coeff.atoms[0]
+    shape = (base.radicand, base.pi_half, base.i_pow)
     rats = []
     for t in terms:
-        if len(t.coeff.atoms) != 1:
-            return None
         a = t.coeff.atoms[0]
-        k = (a.radicand, a.pi_half, a.i_pow)
-        if key is None:
-            key = k
-        elif k != key:
-            return None
+        if len(t.coeff.atoms) != 1 or (a.radicand, a.pi_half, a.i_pow) != shape:
+            raise ValueError("term coefficients do not share one atom shape")
         rats.append(a.rat)
-    g_num = 0
-    g_den = 1
-    for r in rats:
-        g_num = gcd(g_num, abs(r.numerator))
-        g_den = g_den * r.denominator // gcd(g_den, r.denominator)
-    g = Fraction(g_num, g_den)
-    base = terms[0].coeff.atoms[0]
+    g = Fraction(gcd(*(r.numerator for r in rats)), lcm(*(r.denominator for r in rats)))
+    sign = 1 if rats[0] > 0 else -1
     factor = CoeffAtom(g, base.radicand, base.pi_half, base.i_pow)
-    inner = [(int(r / g), t) for r, t in zip(rats, terms)]
-    return factor, inner
+    return sign, factor, [(int(r / (sign * g)), t) for r, t in zip(rats, terms)]
+
+
+class _Style(NamedTuple):
+    """The tokens and joiners of one output format (str.format templates)."""
+    dot: str
+    box: str
+    vec: str
+    delta: str
+    eps: str
+    symbol: str      # a vector symbol among the entries of eps
+    power: str
+    half: str        # an odd number of halves, as an exponent
+    sqrt: str
+    pi: str
+    fraction: str
+    den_group: str   # a denominator of several factors
+    atom_join: str   # between the factors of a numerator or denominator
+    factors: str     # between the factors of a monomial, and an integer's
+    lone: str        # the common factor times a single monomial
+    group: str       # the common factor times the bracketed sum
+
+
+_TEXT = _Style(
+    dot="({}.{})", box="box({},{},{})", vec="{}[{}]", delta="d({},{})",
+    eps="eps({})", symbol="{}", power="{}^{}", half="({}/2)", sqrt="sqrt({})",
+    pi="pi", fraction="{}/{}", den_group="({})", atom_join="*", factors="*",
+    lone="{} * {}", group="{} * ({})")
+
+_LATEX = _Style(
+    dot=r"(\hat{{{}}}\cdot\hat{{{}}})",
+    box=r"\hat{{{}}}\cdot(\hat{{{}}}\times\hat{{{}}})",
+    vec=r"\hat{{{}}}_{{{}}}", delta=r"\delta_{{{}{}}}", eps=r"\epsilon({})",
+    symbol=r"\hat{{{}}}", power="{}^{{{}}}", half="{}/2", sqrt=r"\sqrt{{{}}}",
+    pi=r"\pi", fraction=r"\frac{{{}}}{{{}}}", den_group="{}", atom_join="",
+    factors=r"\,", lone=r"{}\, {}", group=r"{}\,\left\{{ {} \right\}}")
+
+
+def _pi_power(pi_half: int, style: _Style) -> str:
+    # magnitude only; the sign of the exponent picks numerator or denominator
+    h = abs(pi_half)
+    if h == 1:
+        return style.sqrt.format(style.pi)
+    if h == 2:
+        return style.pi
+    return style.power.format(style.pi, h // 2 if h % 2 == 0 else style.half.format(h))
+
+
+def _atom_parts(a: CoeffAtom, style: _Style) -> tuple[list, list]:
+    """Numerator and denominator factors of a positive canonical atom.
+
+    p/q * sqrt(s) is shown as p*sqrt(s/c) / (q/c * sqrt(c)) with c = gcd(s, q),
+    so no square root shares a factor with the integer under the bar."""
+    p, q = a.rat.numerator, a.rat.denominator
+    s = a.radicand.numerator
+    c = gcd(s, q)
+    num = ["i"] if a.i_pow == 1 else []
+    if p != 1 or (s == c and not num and a.pi_half <= 0):
+        num.append(str(p))
+    if s != c:
+        num.append(style.sqrt.format(s // c))
+    if a.pi_half > 0:
+        num.append(_pi_power(a.pi_half, style))
+    den = [str(q // c)] if q != c else []
+    if c != 1:
+        den.append(style.sqrt.format(c))
+    if a.pi_half < 0:
+        den.append(_pi_power(a.pi_half, style))
+    return num, den
+
+
+def _atom(a: CoeffAtom, style: _Style) -> str:
+    num, den = _atom_parts(a, style)
+    if not den:
+        return style.atom_join.join(num)
+    bottom = style.atom_join.join(den)
+    if len(den) > 1:
+        bottom = style.den_group.format(bottom)
+    return style.fraction.format(style.atom_join.join(num), bottom)
+
+
+def _monomial(t, style: _Style) -> str:
+    parts = [style.dot.format(s1, s2) if e == 1
+             else style.power.format(style.dot.format(s1, s2), e)
+             for s1, s2, e in t.dots]
+    parts += [style.box.format(*b) for b in t.boxes]
+    parts += [style.vec.format(s, _slot(i)) for s, i in t.vecs]
+    parts += [style.delta.format(_slot(i), _slot(j)) for i, j in t.deltas]
+    parts += [style.eps.format(",".join(_slot(x) if kind == 'f' else style.symbol.format(x)
+                                        for kind, x in e))
+              for e in t.epses]
+    return style.factors.join(parts)
+
+
+def _render(poly, style: _Style) -> str:
+    if poly.is_zero:
+        return "0"
+    sign, factor, inner = _common_factor(poly)
+    fact = ("-" if sign < 0 else "") + _atom(factor, style)
+    if len(inner) == 1:
+        mono = _monomial(inner[0][1], style)
+        return style.lone.format(fact, mono) if mono else fact
+    pieces = []
+    for n, (c, t) in enumerate(inner):
+        mono = _monomial(t, style)
+        mag = abs(c)
+        body = (mono if mag == 1 else style.factors.join([str(mag), mono])) if mono else str(mag)
+        pieces.append(body if n == 0 else f" {'+' if c > 0 else '-'} {body}")
+    return style.group.format(fact, "".join(pieces))
 
 
 def render_text(result: ReductionResult) -> str:
-    poly = result.poly
-    if poly.is_zero:
-        return "0"
-    cf = _common_factor(poly)
-    if cf is None:
-        # mixed coefficient shapes: render term by term
-        chunks = []
-        for t in _display_terms(poly):
-            mono = _monomial_text(t)
-            coeff = " + ".join(_atom_text(a) if a.rat > 0 else
-                               f"-{_atom_text(CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow))}"
-                               for a in t.coeff.atoms)
-            if len(t.coeff.atoms) > 1:
-                coeff = f"({coeff})"
-            chunks.append(f"{coeff} * {mono}" if mono else coeff)
-        return " + ".join(chunks)
-    factor, inner = cf
-    if inner[0][0] < 0:
-        inner = [(-c, t) for c, t in inner]
-        fact_text = "-" + _atom_text(factor)
-    else:
-        fact_text = _atom_text(factor)
-    if len(inner) == 1:
-        mono = _monomial_text(inner[0][1])
-        return f"{fact_text} * {mono}" if mono else fact_text
-    pieces = []
-    for n, (c, t) in enumerate(inner):
-        mono = _monomial_text(t)
-        mag = abs(c)
-        body = mono if mag == 1 and mono else (f"{mag}*{mono}" if mono else str(mag))
-        if n == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{' + ' if c > 0 else ' - '}{body}")
-    return f"{fact_text} * ({''.join(pieces)})"
-
-
-# ---------------------------------------------------------------------------
-# LaTeX
-# ---------------------------------------------------------------------------
-
-def _pi_latex(pi_half: int) -> str:
-    h = abs(pi_half)
-    if h == 1:
-        return "\\sqrt{\\pi}"
-    if h == 2:
-        return "\\pi"
-    if h % 2 == 0:
-        return f"\\pi^{{{h // 2}}}"
-    return f"\\pi^{{{h}/2}}"
-
-
-def _atom_latex(a: CoeffAtom) -> str:
-    p, q = a.rat.numerator, a.rat.denominator
-    s = int(a.radicand)
-    c = 1
-    for d in range(s, 0, -1):
-        if s % d == 0 and q % d == 0:
-            c = d
-            break
-    num_parts = []
-    if a.i_pow % 4 == 1:
-        num_parts.append("i")
-    s_top = s // c
-    if p != 1 or (s_top == 1 and not num_parts and a.pi_half <= 0):
-        num_parts.append(str(p))
-    if s_top != 1:
-        num_parts.append(f"\\sqrt{{{s_top}}}")
-    if a.pi_half > 0:
-        num_parts.append(_pi_latex(a.pi_half))
-    num = "".join(num_parts) or "1"
-    den_parts = []
-    q_bot = q // c
-    if q_bot != 1:
-        den_parts.append(str(q_bot))
-    if c != 1:
-        den_parts.append(f"\\sqrt{{{c}}}")
-    if a.pi_half < 0:
-        den_parts.append(_pi_latex(a.pi_half))
-    if not den_parts:
-        return num
-    return f"\\frac{{{num}}}{{{''.join(den_parts)}}}"
-
-
-def _monomial_latex(t) -> str:
-    parts = []
-    for s1, s2, e in t.dots:
-        base = f"(\\hat{{{s1}}}\\cdot\\hat{{{s2}}})"
-        parts.append(base if e == 1 else f"{base}^{{{e}}}")
-    for b in t.boxes:
-        parts.append(f"\\hat{{{b[0]}}}\\cdot(\\hat{{{b[1]}}}\\times\\hat{{{b[2]}}})")
-    for s, i in t.vecs:
-        parts.append(f"\\hat{{{s}}}_{{{_slot(i)}}}")
-    for i, j in t.deltas:
-        parts.append(f"\\delta_{{{_slot(i)}{_slot(j)}}}")
-    for e in t.epses:
-        ents = ",".join(_slot(x[1]) if x[0] == 'f' else f"\\hat{{{x[1]}}}" for x in e)
-        parts.append(f"\\epsilon({ents})")
-    return "\\,".join(parts)
+    return _render(result.poly, _TEXT)
 
 
 def render_latex(result: ReductionResult) -> str:
-    echo = render_expr_latex(result.expr)
-    poly = result.poly
-    if poly.is_zero:
-        return f"{echo} = 0"
-    cf = _common_factor(poly)
-    if cf is None:
-        body_terms = []
-        for t in _display_terms(poly):
-            val = t.coeff.to_float()
-            body_terms.append(f"({val})\\,{_monomial_latex(t)}")
-        return f"{echo} = " + " + ".join(body_terms)
-    factor, inner = cf
-    if inner[0][0] < 0:
-        inner = [(-c, t) for c, t in inner]
-        fact = "-" + _atom_latex(factor)
-    else:
-        fact = _atom_latex(factor)
-    if len(inner) == 1:
-        mono = _monomial_latex(inner[0][1])
-        return f"{echo} = {fact}\\, {mono}" if mono else f"{echo} = {fact}"
-    pieces = []
-    for n, (c, t) in enumerate(inner):
-        mono = _monomial_latex(t)
-        mag = abs(c)
-        body = mono if mag == 1 and mono else (f"{mag}\\,{mono}" if mono else str(mag))
-        if n == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f" {'+' if c > 0 else '-'} {body}")
-    return f"{echo} = {fact}\\,\\left\\{{ {''.join(pieces)} \\right\\}}"
+    return f"{render_expr_latex(result.expr)} = {_render(result.poly, _LATEX)}"
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .coeff import CoeffAtom, atom, atom_canonical, double_factorial, factorial
+from .coeff import CoeffAtom, atom, atom_mul, double_factorial, factorial
 from .wigner import three_j, triangle_ok
 from .tensor import (TensorPoly, couple_even, couple_odd, full_contract,
                      harmonic_tensor, poly_scale)
@@ -71,14 +71,25 @@ def expr_degree_sum(expr: CouplingExpr) -> int:
     return sum(leaf.l for leaf in expr_leaves(expr))
 
 
+class InvalidExpr(ValueError):
+    """A triangle violation or repeated vector symbol, at the node that shows it."""
+
+    def __init__(self, message: str, node: CouplingExpr):
+        super().__init__(message)
+        self.node = node
+
+
 def validate_expr(expr: CouplingExpr) -> None:
-    """Raise ValueError on any triangle violation or repeated vector symbol."""
+    """Raise InvalidExpr on any triangle violation or repeated vector symbol.
+
+    The node is the second use of a repeated symbol, or the coupling whose
+    ranks break the triangle rule."""
     seen = set()
     for leaf in expr_leaves(expr):
         if leaf.l < 0:
-            raise ValueError(f"negative harmonic degree {leaf.l}")
+            raise InvalidExpr(f"negative harmonic degree {leaf.l}", leaf)
         if leaf.v in seen:
-            raise ValueError(f"vector symbol '{leaf.v}' used more than once")
+            raise InvalidExpr(f"vector symbol '{leaf.v}' used more than once", leaf)
         seen.add(leaf.v)
 
     def rec(node):
@@ -86,8 +97,9 @@ def validate_expr(expr: CouplingExpr) -> None:
             return node.l
         l1, l2 = rec(node.left), rec(node.right)
         if not triangle_ok(l1, l2, node.L):
-            raise ValueError(
-                f"triangle rule violated: cannot couple ranks ({l1},{l2}) to {node.L}")
+            raise InvalidExpr(
+                f"triangle rule violated: cannot couple ranks ({l1},{l2}) to {node.L}",
+                node)
         return node.L
 
     rec(expr)
@@ -119,7 +131,8 @@ def q_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
     via a closed double-factorial form) and asserted equal."""
     if (l1 + l2 + l3) % 2:
         raise ValueError("q_factor requires even l1+l2+l3")
-    via_3j = _mul(_hat2_over_sqrt4pi(l1, l2), _abs_atom(three_j(l1, l2, l3, 0, 0, 0)))
+    via_3j = atom_mul(_hat2_over_sqrt4pi(l1, l2),
+                      _abs_atom(three_j(l1, l2, l3, 0, 0, 0)))
     J, J1, J2, J3 = _jays(l1, l2, l3)
     rad = Fraction(
         double_factorial(J1) * double_factorial(J2) * double_factorial(J3)
@@ -127,10 +140,10 @@ def q_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
         factorial((J1 + 1) // 2) * factorial((J2 + 1) // 2)
         * factorial((J3 + 1) // 2) * double_factorial(J + 1),
     )
-    closed = _mul(_hat2_over_sqrt4pi(l1, l2), atom(1, rad))
-    if atom_canonical(via_3j) != atom_canonical(closed):
+    closed = atom_mul(_hat2_over_sqrt4pi(l1, l2), atom(1, rad))
+    if via_3j != closed:
         raise AssertionError(f"q_factor forms disagree at ({l1},{l2},{l3})")
-    return atom_canonical(via_3j)
+    return via_3j
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +152,8 @@ def r_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
     if (l1 + l2 + l3) % 2 == 0:
         raise ValueError("r_factor requires odd l1+l2+l3")
     grad = atom(Fraction(1, 2 * l3), Fraction(l1 * (l1 + 1) * l2 * (l2 + 1)))
-    via_3j = _mul(_mul(_hat2_over_sqrt4pi(l1, l2), grad),
-                  _abs_atom(three_j(l1, l2, l3, 1, -1, 0)))
+    via_3j = atom_mul(atom_mul(_hat2_over_sqrt4pi(l1, l2), grad),
+                      _abs_atom(three_j(l1, l2, l3, 1, -1, 0)))
     J, J1, J2, J3 = _jays(l1, l2, l3)
     rad = Fraction(
         double_factorial(J1 + 1) * double_factorial(J2 + 1)
@@ -148,10 +161,10 @@ def r_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
         factorial(J1 // 2) * factorial(J2 // 2) * factorial(J3 // 2)
         * double_factorial(J),
     )
-    closed = _mul(_hat2_over_sqrt4pi(l1, l2), atom(Fraction(1, 2 * l3), rad))
-    if atom_canonical(via_3j) != atom_canonical(closed):
+    closed = atom_mul(_hat2_over_sqrt4pi(l1, l2), atom(Fraction(1, 2 * l3), rad))
+    if via_3j != closed:
         raise AssertionError(f"r_factor forms disagree at ({l1},{l2},{l3})")
-    return atom_canonical(via_3j)
+    return via_3j
 
 
 def s_factor(L: int) -> CoeffAtom:
@@ -166,11 +179,6 @@ def rho(l: int) -> CoeffAtom:
     return atom(Fraction(1, 2),
                 Fraction((2 * l + 1) * factorial(l), double_factorial(2 * l - 1)),
                 -1)
-
-
-def _mul(a: CoeffAtom, b: CoeffAtom) -> CoeffAtom:
-    from .coeff import atom_mul
-    return atom_mul(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -217,66 +225,3 @@ def reduce_expr(expr: CouplingExpr) -> ReductionResult:
     parity = "odd" if (expr_degree_sum(expr) - poly.rank) % 2 else "even"
     true_scalar = isinstance(expr, Couple) and expr.L == 0
     return ReductionResult(expr, poly, parity, tuple(trace), true_scalar)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form rank-1 pair identities
-# ---------------------------------------------------------------------------
-
-def reduce_pair_identities(l1: int, l2: int, samples: int = 50,
-                           seed: int | None = None) -> dict:
-    """Numerically confirm the closed rank-1 forms for [Y^[l1](a) x Y^[l2](b)][1].
-
-    Two families are covered: equal degrees (l, l), whose value is
-      (-i/4pi) sqrt(3(2l+1)/(l(l+1))) P_l'(a.b) (a x b)_m,
-    and consecutive degrees (l-1, l), whose value is
-      (-i/4pi) sqrt(3/l) [P_l'(a.b) b_m - ((l-1) P_{l-2}(a.b)
-                          + (a.b) P_{l-2}'(a.b)) a_m],
-    with standard spherical components on the right-hand sides and the
-    conventions P_{-1} = 1, P_{-1}' = 0.  Returns a small report dict; the
-    comparison is against the direct oracle evaluation of the coupled
-    harmonics, so it is independent of the symbolic engine.
-    """
-    from . import oracle  # local import to avoid a module cycle
-    import numpy as np
-
-    if l1 == l2 and l1 >= 1:
-        form = "equal"
-        l = l1
-    elif l2 == l1 + 1:
-        form = "consecutive"
-        l = l2
-    else:
-        raise ValueError("supported pairs: (l, l) with l>=1, or (l-1, l)")
-    if seed is None:
-        seed = oracle.DEFAULT_SEED
-    expr = Couple(Harmonic(l1, 'a'), Harmonic(l2, 'b'), 1)
-    vecs = oracle.sample_unit_vectors(seed, samples, ['a', 'b'])
-    a, b = vecs['a'], vecs['b']
-    x = np.sum(a * b, axis=1)
-    direct = oracle.eval_expr_components(expr, vecs)  # shape (3, samples), m=-1,0,1
-
-    def std_components(v):
-        # standard spherical components of a real vector, rows m = -1, 0, +1
-        return np.stack([
-            (v[:, 0] - 1j * v[:, 1]) / np.sqrt(2.0),
-            v[:, 2] + 0j,
-            -(v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0),
-        ])
-
-    if form == "equal":
-        pref = -1j / (4 * np.pi) * np.sqrt(3 * (2 * l + 1) / (l * (l + 1)))
-        cross = np.cross(a, b)
-        closed = pref * oracle.legendre_prime(l, x) * std_components(cross)
-    else:
-        pref = -1j / (4 * np.pi) * np.sqrt(3 / l)
-        closed = pref * (
-            oracle.legendre_prime(l, x) * std_components(b)
-            - ((l - 1) * oracle.legendre(l - 2, x)
-               + x * oracle.legendre_prime(l - 2, x)) * std_components(a))
-
-    err = float(np.max(np.abs(direct - closed)))
-    return {
-        "l1": l1, "l2": l2, "form": form, "samples": samples, "seed": seed,
-        "max_abs_err": err, "pass": err <= 1e-10,
-    }

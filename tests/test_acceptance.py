@@ -29,13 +29,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cartensor.cli import CORPUS_ENTRIES
+from cartensor.cli import _default_corpus_path, _load_corpus
 from cartensor.coeff import CoeffSum, SUM_ONE, atom, atom_mul
 from cartensor.oracle import (
     UnitVector,
     eval_expr,
     eval_poly_batch,
     legendre_coeffs,
+    reduce_pair_identities,
     sample_unit_vectors,
     u_matrix,
     verify,
@@ -48,7 +49,6 @@ from cartensor.reduce import (
     q_factor,
     r_factor,
     reduce_expr,
-    reduce_pair_identities,
     s_factor,
 )
 from cartensor.tensor import (
@@ -68,6 +68,9 @@ from cartensor.tensor import (
     vector_power,
 )
 from cartensor.wigner import cg_float
+
+CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
+                  for e in _load_corpus(_default_corpus_path())]
 
 # ---------------------------------------------------------------------------
 # Frozen expectations for the 26 corpus entries.

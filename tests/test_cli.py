@@ -9,8 +9,11 @@ import json
 import pytest
 
 from cartensor import cli, oracle, parser
-from cartensor.cli import CORPUS_ENTRIES, main
+from cartensor.cli import main
 from cartensor.oracle import DEFAULT_SEED
+
+CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
+                  for e in cli._load_corpus(cli._default_corpus_path())]
 
 
 def run(capsys, *argv):
@@ -128,6 +131,26 @@ class TestSeedResolution:
                         "--samples", "5", "--seed", "123")
         assert json.loads(out)["seed"] == 123
 
+    @pytest.mark.parametrize("argv,env", [
+        (["verify", "[Y[1](a) x Y[1](b)][0]", "--seed", "-1"], None),
+        (["corpus", "--check", "--seed", "-1"], None),
+        (["verify", "[Y[1](a) x Y[1](b)][0]"], "-7"),
+    ], ids=["verify-flag", "corpus-flag", "env"])
+    def test_negative_seed_exit_2(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("CARTENSOR_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CARTENSOR_SEED", env)
+        code, out, err = run(capsys, *argv, "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        if env is None:
+            assert "argument --seed: must be at least 0, got -1" in err
+        else:
+            assert err.strip() == ("error: CARTENSOR_SEED must be an integer >= 0, "
+                                   "got '-7'")
+
     def test_invalid_env_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CARTENSOR_SEED", "notanumber")
         code, out, err = run(capsys, "verify", "[Y[1](a) x Y[1](b)][0]",
@@ -222,6 +245,23 @@ class TestCorpus:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(calls) == len(CORPUS_ENTRIES)
+
+    @pytest.mark.parametrize("bad_line,message", [
+        ('{"id": "A1", "expr": ', "not JSON"),
+        ("[" * 100000, "not JSON"),
+        ("[1,2]", "not a JSON object"),
+        ('{"id": "A1", "expr": "Y[1](a)", "note": ""}', "'expected' must be an object"),
+    ], ids=["not-json", "nested-too-deep", "array", "no-expected"])
+    def test_malformed_file_exit_2(self, capsys, tmp_path, bad_line, message):
+        lines = cli._default_corpus_path().read_text().splitlines()
+        lines[3] = bad_line
+        target = tmp_path / "broken.jsonl"
+        target.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "corpus", "--check", "--file", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: corpus file line 4: {message}")
+        assert "Traceback" not in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", "--check",

@@ -22,7 +22,6 @@ from cartensor.coeff import (
     double_factorial,
     factorial,
     hat,
-    normalize_atom,
     sqrt_rational,
     square_free_split,
 )
@@ -103,8 +102,9 @@ class TestAtom:
         assert once.to_complex() == pytest.approx(a.to_complex())
 
     def test_normalize_preserves_value(self):
-        a = atom(Fraction(5, 3), Fraction(18, 4), -2, 7)
-        assert normalize_atom(a).to_complex() == pytest.approx(a.to_complex())
+        raw = CoeffAtom(Fraction(5, 3), Fraction(18, 4), -2, 7)
+        assert atom(raw.rat, raw.radicand, -2, 7).to_complex() == \
+            pytest.approx(raw.to_complex())
 
     def test_pi_powers(self):
         import math
@@ -247,3 +247,18 @@ def test_sum_kernel_matches_from_atoms(xs, ys, c, q):
 
     for result in (s, prod, total, neg, by_atom, by_rat):
         _assert_canonical(result)
+
+
+@settings(deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(raw=_raw_atoms, other=_raw_atoms)
+def test_atom_normal_form(raw, other):
+    a = atom(raw.rat, raw.radicand, raw.pi_half, raw.i_pow)
+    assert a == atom_canonical(raw) == atom_canonical(a)
+    if a.rat:
+        _assert_canonical(CoeffSum((a,)))
+    _assert_close(a.to_complex(), raw.to_complex(), abs(raw.to_complex()))
+    prod = atom_mul(raw, other)
+    assert prod == atom_canonical(prod)
+    _assert_close(prod.to_complex(), raw.to_complex() * other.to_complex(),
+                  abs(raw.to_complex() * other.to_complex()))

@@ -1,9 +1,14 @@
 """Unit tests for expression parsing, diagnostics, and the three renderers."""
 
+import itertools
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from cartensor.coeff import CoeffSum, atom
 from cartensor.parser import (
     ExprError,
     ExprSemanticError,
@@ -17,7 +22,9 @@ from cartensor.parser import (
     render_text,
     result_to_obj,
 )
-from cartensor.reduce import Couple, Harmonic, reduce_expr
+from cartensor.reduce import (Couple, Harmonic, InvalidExpr, ReductionResult,
+                              expr_leaves, expr_rank, reduce_expr, validate_expr)
+from cartensor.tensor import TensorPoly, TensorTerm
 
 
 def _reduce(src):
@@ -121,6 +128,17 @@ class TestRenderText:
         assert render_text(_reduce("Y[2](a)")) == "1/2 * (3*a[i]*a[j] - d(i,j))"
 
 
+    def test_mixed_coefficient_shapes_rejected(self):
+        # every reduction result shares one coefficient shape across its terms
+        poly = TensorPoly(0, (
+            TensorTerm(CoeffSum.from_atom(atom(1, 2)), dots=(("a", "b", 1),)),
+            TensorTerm(CoeffSum.from_atom(atom(1, 3))),
+        ))
+        mixed = ReductionResult(parse("[Y[1](a) x Y[1](b)][0]"), poly, "even", (), True)
+        with pytest.raises(ValueError, match="one atom shape"):
+            render_text(mixed)
+
+
 class TestRenderLatex:
     def test_scalar_pair(self):
         s = render_latex(_reduce("[Y[1](a) x Y[1](b)][0]"))
@@ -171,3 +189,113 @@ class TestJson:
         a = render_json(_reduce("[[Y[2](a) x Y[2](b)][2] x Y[2](c)][0]"))
         b = render_json(_reduce("[[Y[2](a) x Y[2](b)][2] x Y[2](c)][0]"))
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Golden text and LaTeX
+# ---------------------------------------------------------------------------
+
+# Text and LaTeX of the 26 corpus entries, Y[1..4](a), the rank-one pairs
+# [Y[l](a) x Y[l](b)][1] and [Y[l-1](a) x Y[l](b)][1] for l = 1..3, and an odd
+# scalar, recorded from the renderers as they stood before text and LaTeX
+# shared one display model.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "render_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[row["expr"] for row in GOLDEN])
+def test_render_golden(row):
+    result = _reduce(row["expr"])
+    assert render_text(result) == row["text"]
+    assert render_latex(result) == row["latex"]
+
+
+# ---------------------------------------------------------------------------
+# Property test: one validator behind parse's semantic errors
+# ---------------------------------------------------------------------------
+
+def _tree(draw, depth, names, state, root=False):
+    """A random coupling tree over the symbols names yields.  While
+    state["pending"] is set, one coupling (the root at the latest) draws its
+    rank outside the triangle and is kept as state["bad"]; every other
+    coupling draws a rank inside the triangle of its children."""
+    if not root and (depth == 0 or draw(st.booleans())):
+        return Harmonic(draw(st.integers(0, 3)), next(names))
+    left = _tree(draw, depth - 1, names, state)
+    right = _tree(draw, depth - 1, names, state)
+    l1, l2 = expr_rank(left), expr_rank(right)
+    if state.get("pending") and (root or draw(st.booleans())):
+        state["pending"] = False
+        state["bad"] = Couple(left, right, draw(st.sampled_from(
+            [*range(abs(l1 - l2)), l1 + l2 + 1, l1 + l2 + 2])))
+        return state["bad"]
+    return Couple(left, right, draw(st.integers(abs(l1 - l2), l1 + l2)))
+
+
+def _names():
+    return map("v{}".format, itertools.count())
+
+
+@st.composite
+def _valid_trees(draw):
+    return _tree(draw, 3, _names(), {})
+
+
+@st.composite
+def _invalid_trees(draw):
+    """(tree, offending node): one triangle violation or one repeated symbol."""
+    if draw(st.booleans()):
+        state = {"pending": True}
+        tree = _tree(draw, 3, _names(), state, root=True)
+        return tree, state["bad"]
+    tree = _tree(draw, 3, _names(), {}, root=True)
+    leaves = expr_leaves(tree)
+    j = draw(st.integers(1, len(leaves) - 1))
+    i = draw(st.integers(0, j - 1))
+    bad = Harmonic(leaves[j].l, leaves[i].v)
+    return _swap(tree, leaves[j], bad), bad
+
+
+def _swap(node, old, new):
+    if node is old:
+        return new
+    if isinstance(node, Harmonic):
+        return node
+    return Couple(_swap(node.left, old, new), _swap(node.right, old, new), node.L)
+
+
+def _offsets(node, start, out):
+    """{id(n): (start, end)} of node and its descendants in render_expr_text."""
+    text = render_expr_text(node)
+    out[id(node)] = (start, start + len(text))
+    if isinstance(node, Couple):
+        _offsets(node.left, start + 1, out)
+        _offsets(node.right, start + len(render_expr_text(node.left)) + 4, out)
+    return out
+
+
+_SETTINGS = settings(deadline=None, max_examples=200,
+                     phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+
+
+@_SETTINGS
+@given(_valid_trees())
+def test_parse_round_trips_valid_trees(tree):
+    validate_expr(tree)
+    assert parse(render_expr_text(tree)) == tree
+
+
+@_SETTINGS
+@given(_invalid_trees())
+def test_semantic_error_is_the_validator_error(case):
+    tree, bad = case
+    with pytest.raises(InvalidExpr) as want:
+        validate_expr(tree)
+    assert want.value.node is bad
+    source = render_expr_text(tree)
+    with pytest.raises(ExprSemanticError) as got:
+        parse(source)
+    assert got.value.message == str(want.value)
+    span = got.value.span
+    assert (span.start, span.end) == _offsets(tree, 0, {})[id(bad)]
+    assert source[span.start:span.end] == render_expr_text(bad)

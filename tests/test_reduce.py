@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cartensor.coeff import CoeffSum, atom, atom_canonical, atom_mul
+from cartensor.oracle import reduce_pair_identities
 from cartensor.reduce import (
     Couple,
     Harmonic,
@@ -15,7 +16,6 @@ from cartensor.reduce import (
     q_factor,
     r_factor,
     reduce_expr,
-    reduce_pair_identities,
     rho,
     s_factor,
     validate_expr,
