@@ -14,13 +14,12 @@ Atoms have one normal form, atom_canonical: nonzero rat (or the unique zero),
 square-free positive integer radicand, i_pow in {0, 1}.  Equal values have
 equal canonical atoms.  atom() and atom_mul() return that form.
 
-A CoeffSum holds canonical atoms sorted by the key (radicand, pi_half, i_pow),
-one atom per key, so equal values have equal sums and cancellation to zero is
-structural.  CoeffSum.from_atoms (with from_atom) is the only place an
-arbitrary atom enters a sum.  add, neg, scale and mul take canonical sums to a
-canonical sum without factoring anything: the product of square-free radicands
-f1, f2 with g = gcd(f1, f2) is g**2 * (f1//g) * (f2//g), and (f1//g) * (f2//g)
-is square-free again.
+The engine needs no sums of atoms: a TensorPoly is one atom times a rational
+polynomial (see tensor.py).  A CoeffSum is the exact sum of atoms of different
+shapes, for callers that add such values (the Clebsch-Gordan orthogonality
+test).  It holds canonical atoms sorted by the key (radicand, pi_half, i_pow),
+one atom per key, so equal values have equal sums.  Every sum is built by
+CoeffSum.from_atoms, so atom_canonical stays the only normal-form path.
 """
 
 from __future__ import annotations
@@ -166,20 +165,9 @@ def atom_mul(a: CoeffAtom, b: CoeffAtom) -> CoeffAtom:
     ))
 
 
-def _key(a: CoeffAtom) -> tuple[int, int, int]:
-    # a must be canonical
-    return (a.radicand.numerator, a.pi_half, a.i_pow)
-
-
 # ---------------------------------------------------------------------------
 # CoeffSum
 # ---------------------------------------------------------------------------
-
-def _collect(acc: dict) -> "CoeffSum":
-    """CoeffSum from {key: rat}, dropping zero coefficients."""
-    return CoeffSum(tuple([CoeffAtom(r, _radicand(k[0]), k[1], k[2])
-                           for k, r in sorted(acc.items()) if r]))
-
 
 @dataclass(frozen=True)
 class CoeffSum:
@@ -194,9 +182,10 @@ class CoeffSum:
             a = atom_canonical(raw)
             if a.rat == 0:
                 continue
-            k = _key(a)
+            k = (a.radicand.numerator, a.pi_half, a.i_pow)
             acc[k] = acc[k] + a.rat if k in acc else a.rat
-        return _collect(acc)
+        return CoeffSum(tuple([CoeffAtom(r, _radicand(k[0]), k[1], k[2])
+                               for k, r in sorted(acc.items()) if r]))
 
     @staticmethod
     def from_atom(a: CoeffAtom) -> "CoeffSum":
@@ -215,11 +204,7 @@ class CoeffSum:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, other: "CoeffSum") -> "CoeffSum":
-        acc = {_key(a): a.rat for a in self.atoms}
-        for b in other.atoms:
-            k = _key(b)
-            acc[k] = acc[k] + b.rat if k in acc else b.rat
-        return _collect(acc)
+        return CoeffSum.from_atoms(self.atoms + other.atoms)
 
     def neg(self) -> "CoeffSum":
         return CoeffSum(tuple([CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow)
@@ -227,33 +212,11 @@ class CoeffSum:
 
     def scale(self, factor) -> "CoeffSum":
         """Multiply by a CoeffAtom, Fraction, or int."""
-        if isinstance(factor, CoeffAtom):
-            return self.mul(CoeffSum.from_atom(factor))
-        f = Fraction(factor)
-        if f == 1:
-            return self
-        if f == 0:
-            return SUM_ZERO
-        return CoeffSum(tuple([CoeffAtom(a.rat * f, a.radicand, a.pi_half, a.i_pow)
-                               for a in self.atoms]))
+        f = factor if isinstance(factor, CoeffAtom) else CoeffAtom(Fraction(factor))
+        return CoeffSum.from_atoms([atom_mul(a, f) for a in self.atoms])
 
     def mul(self, other: "CoeffSum") -> "CoeffSum":
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for a in self.atoms:
-            f1 = a.radicand.numerator
-            for b in other.atoms:
-                f2 = b.radicand.numerator
-                g = math.gcd(f1, f2)
-                rat = a.rat * b.rat
-                if g > 1:
-                    rat *= g
-                i_pow = a.i_pow + b.i_pow
-                if i_pow >= 2:
-                    rat = -rat
-                    i_pow -= 2
-                k = ((f1 // g) * (f2 // g), a.pi_half + b.pi_half, i_pow)
-                acc[k] = acc[k] + rat if k in acc else rat
-        return _collect(acc)
+        return CoeffSum.from_atoms([atom_mul(a, b) for a in self.atoms for b in other.atoms])
 
     # -- conversion -------------------------------------------------------
 

@@ -7,10 +7,11 @@ rank-L output through the unitary component map when needed.
 
 What the oracle shares with the symbolic engine is the parser, the
 CouplingExpr tree and the TensorPoly data it is asked to check; each term's
-exact coefficient is read through CoeffAtom/CoeffSum.to_complex.  It shares no
-algebra: spherical values come from floating-point recurrences, and its
-Clebsch-Gordan coefficients from diagonalising the total J^2 in the
-product basis (``cg``), never from the engine's Racah sum or its coefficients.
+exact coefficient is read as one atom (TensorPoly.term_atom, then
+CoeffAtom.to_complex).  It shares no algebra: spherical values come from
+floating-point recurrences, and its Clebsch-Gordan coefficients from
+diagonalising the total J^2 in the product basis (``cg``), never from the
+engine's Racah sum or its coefficients.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int) -> np.ndarray:
     per call and shared across terms.
     """
     L = poly.rank
-    coeffs = [t.coeff.to_complex() for t in poly.terms]
+    coeffs = [poly.term_atom(t).to_complex() for t in poly.terms]
     cplx = any(c.imag for c in coeffs)
     out = np.zeros((3,) * L + (n,), dtype=complex if cplx else float)
     cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}

@@ -214,20 +214,14 @@ def _common_factor(poly):
     """Factor a nonzero polynomial as sign * positive atom * (integer terms).
 
     Returns (sign, atom, [(int_coeff, term), ...]) with the terms in display
-    order and the first integer positive.  Every term coefficient must be one
-    atom of a shape (radicand, pi_half, i_pow) shared by all terms."""
+    order and the first integer positive.  The atom's shape is the prefactor's;
+    its rational part is the gcd of the term coefficients."""
     terms = sorted(poly.terms, key=lambda t: (-_term_degree(t), t.key))
-    base = terms[0].coeff.atoms[0]
-    shape = (base.radicand, base.pi_half, base.i_pow)
-    rats = []
-    for t in terms:
-        a = t.coeff.atoms[0]
-        if len(t.coeff.atoms) != 1 or (a.radicand, a.pi_half, a.i_pow) != shape:
-            raise ValueError("term coefficients do not share one atom shape")
-        rats.append(a.rat)
+    rats = [t.coeff for t in terms]
     g = Fraction(gcd(*(r.numerator for r in rats)), lcm(*(r.denominator for r in rats)))
     sign = 1 if rats[0] > 0 else -1
-    factor = CoeffAtom(g, base.radicand, base.pi_half, base.i_pow)
+    factor = CoeffAtom(g, poly.prefactor.radicand, poly.prefactor.pi_half,
+                       poly.prefactor.i_pow)
     return sign, factor, [(int(r / (sign * g)), t) for r, t in zip(rats, terms)]
 
 
@@ -362,7 +356,7 @@ def result_to_obj(result: ReductionResult) -> dict:
         for e in t.epses:
             free.append(["eps"] + [x[1] for x in e])
         terms.append({
-            "coeff": [atom_to_json(a) for a in t.coeff.atoms],
+            "coeff": [atom_to_json(result.poly.term_atom(t))],
             "dots": [[s1, s2, e] for s1, s2, e in t.dots],
             "boxes": [list(b) for b in t.boxes],
             "free_slots": free,

@@ -1,8 +1,8 @@
 """Symbolic Cartesian tensor algebra over unit-vector symbols.
 
-A TensorPoly of rank n is a sum of TensorTerm monomials carrying n free slots.
-Each term is a product of
-  * an exact coefficient (CoeffSum),
+A TensorPoly of rank n is one exact prefactor (a CoeffAtom) times a sum of
+TensorTerm monomials carrying n free slots.  Each term is a product of
+  * a rational coefficient (Fraction),
   * vector factors  v_i        (a symbol's component at a free slot),
   * delta factors   delta_ij   (Kronecker delta joining two free slots),
   * at most one epsilon factor eps(e1,e2,e3) whose entries are free slots or
@@ -22,6 +22,11 @@ which uniformly covers shared-index pairs, box*box Gram determinants, and mixed
 epsilon*box products.  Canonical terms therefore carry at most one epsilon-like
 factor, and rank-0 results are polynomials in dots and (for odd parity) boxes.
 
+The prefactor is a canonical atom with rat == 1 (ATOM_ONE for the zero
+polynomial), so equal values are equal TensorPolys.  Only the prefactor is ever
+irrational: products multiply the two prefactors once and move the rational
+part of the product (a gcd of radicands, the sign of i**2) into the terms.
+
 The three higher-level constructions are:
   * harmonic_tensor(v, l): the symmetric traceless tensor with leading term
     (2l-1)!!/l! v...v, normalized so that contracting with u...u gives P_l(v.u);
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import (CoeffAtom, CoeffSum, SUM_ONE, atom, double_factorial,
+from .coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, double_factorial,
                     factorial)
 
 # Entries inside factors: ('f', slot) free slot, ('s', sym) symbol,
@@ -67,7 +72,7 @@ def _sym_name(v) -> str:
 
 @dataclass(frozen=True)
 class TensorTerm:
-    coeff: CoeffSum
+    coeff: Fraction
     vecs: tuple = ()      # ((sym, slot), ...) sorted by slot
     deltas: tuple = ()    # ((i, j), ...) i<j, sorted
     epses: tuple = ()     # ((e1,e2,e3), ...) canonical entry order; <= 1
@@ -81,12 +86,19 @@ class TensorTerm:
 
 @dataclass(frozen=True)
 class TensorPoly:
+    """prefactor * sum of terms; see the module docstring for the normal form."""
     rank: int
     terms: tuple = ()
+    prefactor: CoeffAtom = ATOM_ONE
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def term_atom(self, t: TensorTerm) -> CoeffAtom:
+        """The exact coefficient of term t, prefactor * t.coeff, as a canonical atom."""
+        p = self.prefactor
+        return CoeffAtom(t.coeff, p.radicand, p.pi_half, p.i_pow)
 
     def symbols(self) -> tuple:
         syms = set()
@@ -101,23 +113,29 @@ class TensorPoly:
         return tuple(sorted(syms))
 
 
-def _merge_terms(rank: int, terms) -> TensorPoly:
+def _shape(a: CoeffAtom) -> CoeffAtom:
+    """The canonical atom a with its rational part replaced by 1."""
+    return CoeffAtom(Fraction(1), a.radicand, a.pi_half, a.i_pow)
+
+
+def _merge_terms(rank: int, terms, factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """factor * (terms, summed by monomial); factor is a canonical atom."""
     acc: dict = {}
     for t in terms:
         k = t.key
-        if k in acc:
-            acc[k] = TensorTerm(acc[k].coeff.add(t.coeff), *k)
-        else:
-            acc[k] = t
-    out = tuple(sorted((t for t in acc.values() if not t.coeff.is_zero),
-                       key=lambda t: t.key))
-    return TensorPoly(rank, out)
+        acc[k] = acc[k] + t.coeff if k in acc else t.coeff
+    rat = factor.rat
+    out = tuple([TensorTerm(c * rat if rat != 1 else c, *k)
+                 for k, c in sorted(acc.items()) if c])
+    if not out:
+        return TensorPoly(rank)
+    return TensorPoly(rank, out, _shape(factor))
 
 
 # ---------------------------------------------------------------------------
 # Raw (mutable) terms used during contraction
 # ---------------------------------------------------------------------------
-# raw = {'coeff': CoeffSum, 'vecs': [(sym, entry)], 'deltas': [(e,e)],
+# raw = {'coeff': Fraction, 'vecs': [(sym, entry)], 'deltas': [(e,e)],
 #        'epses': [(e,e,e)], 'dots': {(s1,s2): exp}}
 # Boxes live as all-symbol epsilons until freezing.
 
@@ -139,7 +157,7 @@ def _merge_raws(r1: dict, r2: dict) -> dict:
     for k, e in r2['dots'].items():
         dots[k] = dots.get(k, 0) + e
     return {
-        'coeff': r1['coeff'].mul(r2['coeff']),
+        'coeff': r1['coeff'] * r2['coeff'],
         'vecs': r1['vecs'] + r2['vecs'],
         'deltas': r1['deltas'] + r2['deltas'],
         'epses': r1['epses'] + r2['epses'],
@@ -185,7 +203,7 @@ def _resolve_bonds(raw: dict):
             (k1, i1, p1), (k2, i2, p2) = lst
             if k1 == 'delta' and k2 == 'delta' and i1 == i2:
                 # trace of a delta with itself: factor 3
-                raw['coeff'] = raw['coeff'].scale(3)
+                raw['coeff'] *= 3
                 del raw['deltas'][i1]
                 progressed = True
                 break
@@ -234,9 +252,8 @@ def _resolve_bonds(raw: dict):
             return raw  # only eps-eps bonds remain
 
 
-_PERMS3 = [(p, _s) for p, _s in (
-    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-    ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))]
+_PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
 
 def _eliminate_eps_pairs(raw: dict) -> list:
@@ -253,13 +270,12 @@ def _eliminate_eps_pairs(raw: dict) -> list:
     out = []
     for perm, sign in _PERMS3:
         child = {
-            'coeff': raw['coeff'].scale(sign),
+            'coeff': raw['coeff'] * sign,
             'vecs': list(raw['vecs']),
             'deltas': list(raw['deltas']),
             'epses': list(rest),
             'dots': dict(raw['dots']),
         }
-        zero = False
         for i in range(3):
             u, v = ex[i], ey[perm[i]]
             if u[0] == 's' and v[0] == 's':
@@ -270,11 +286,10 @@ def _eliminate_eps_pairs(raw: dict) -> list:
                 child['vecs'].append((v[1], u))
             elif u == v:
                 # the same bond on both sides: delta trace, factor 3
-                child['coeff'] = child['coeff'].scale(3)
+                child['coeff'] *= 3
             else:
                 child['deltas'].append((u, v))
-        if not zero:
-            out.extend(_eliminate_eps_pairs(_resolve_bonds(child)))
+        out.extend(_eliminate_eps_pairs(_resolve_bonds(child)))
     return out
 
 
@@ -304,18 +319,17 @@ def _freeze(raw: dict):
                 return None
             boxes.append(triple)
             if sign < 0:
-                coeff = coeff.neg()
+                coeff = -coeff
         else:
             ents, sign = _sort_with_parity(ep)
             epses.append(ents)
             if sign < 0:
-                coeff = coeff.neg()
+                coeff = -coeff
     if len(boxes) + len(epses) > 1:
         raise AssertionError("canonical term with multiple epsilon-like factors")
-    if coeff.is_zero:
+    if coeff == 0:
         return None
-    vecs = tuple(sorted((s, e[1]) for s, e in raw['vecs']))
-    vecs = tuple(sorted(vecs, key=lambda v: (v[1], v[0])))
+    vecs = tuple(sorted(((s, e[1]) for s, e in raw['vecs']), key=lambda v: (v[1], v[0])))
     deltas = tuple(sorted((min(i[1], j[1]), max(i[1], j[1]))
                           for i, j in raw['deltas']))
     dots = tuple(sorted((s1, s2, e) for (s1, s2), e in raw['dots'].items() if e))
@@ -323,38 +337,36 @@ def _freeze(raw: dict):
                       dots, tuple(sorted(boxes)))
 
 
-def _build(rank: int, raws) -> TensorPoly:
+def _build(rank: int, raws, factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
     terms = []
     for raw in raws:
         for resolved in _eliminate_eps_pairs(_resolve_bonds(raw)):
             t = _freeze(resolved)
             if t is not None:
                 terms.append(t)
-    return _merge_terms(rank, terms)
+    return _merge_terms(rank, terms, factor)
 
 
 # ---------------------------------------------------------------------------
 # Elementary poly constructors and arithmetic
 # ---------------------------------------------------------------------------
 
-def scalar_poly(coeff=SUM_ONE) -> TensorPoly:
-    c = coeff if isinstance(coeff, CoeffSum) else CoeffSum.from_atom(coeff)
-    if c.is_zero:
-        return TensorPoly(0, ())
-    return TensorPoly(0, (TensorTerm(c),))
+def scalar_poly(coeff=ATOM_ONE) -> TensorPoly:
+    """The rank-0 constant coeff, a CoeffAtom or a rational."""
+    return poly_scale(TensorPoly(0, (TensorTerm(Fraction(1)),)), coeff)
 
 
 def vector_power(v, l: int) -> TensorPoly:
     """The plain outer product v x v x ... x v (rank l)."""
     s = _sym_name(v)
     vecs = tuple((s, i) for i in range(l))
-    return TensorPoly(l, (TensorTerm(SUM_ONE, vecs),))
+    return TensorPoly(l, (TensorTerm(Fraction(1), vecs),))
 
 
 def cross_vector(v1, v2) -> TensorPoly:
     """The rank-1 tensor (v1 x v2)."""
     s1, s2 = _sym_name(v1), _sym_name(v2)
-    raw = {'coeff': SUM_ONE, 'vecs': [], 'deltas': [],
+    raw = {'coeff': Fraction(1), 'vecs': [], 'deltas': [],
            'epses': [(('f', 0), ('s', s1), ('s', s2))], 'dots': {}}
     return _build(1, [raw])
 
@@ -362,11 +374,14 @@ def cross_vector(v1, v2) -> TensorPoly:
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     if p1.rank != p2.rank:
         raise ValueError(f"rank mismatch {p1.rank} vs {p2.rank}")
-    return _merge_terms(p1.rank, p1.terms + p2.terms)
+    if p1.terms and p2.terms and p1.prefactor != p2.prefactor:
+        raise ValueError("cannot add polynomials with different prefactor shapes")
+    return _merge_terms(p1.rank, p1.terms + p2.terms,
+                        p1.prefactor if p1.terms else p2.prefactor)
 
 
 def poly_neg(p: TensorPoly) -> TensorPoly:
-    return TensorPoly(p.rank, tuple(TensorTerm(t.coeff.neg(), *t.key) for t in p.terms))
+    return poly_scale(p, -1)
 
 
 def poly_sub(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
@@ -374,23 +389,27 @@ def poly_sub(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
 
 
 def poly_scale(p: TensorPoly, factor) -> TensorPoly:
-    if isinstance(factor, (CoeffSum, CoeffAtom)):
-        f = factor if isinstance(factor, CoeffSum) else CoeffSum.from_atom(factor)
-        terms = (TensorTerm(t.coeff.mul(f), *t.key) for t in p.terms)
+    """p times a CoeffAtom or a rational."""
+    if isinstance(factor, CoeffAtom):
+        product = atom_mul(p.prefactor, factor)
+        rat, prefactor = product.rat, _shape(product)
     else:
-        terms = (TensorTerm(t.coeff.scale(Fraction(factor)), *t.key) for t in p.terms)
-    return _merge_terms(p.rank, terms)
+        rat, prefactor = Fraction(factor), p.prefactor
+    if rat == 0 or not p.terms:
+        return TensorPoly(p.rank)
+    return TensorPoly(p.rank, tuple([TensorTerm(t.coeff * rat, *t.key) for t in p.terms]),
+                      prefactor)
 
 
 def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping."""
     emap = {i: ('f', perm[i]) for i in range(p.rank)}
-    return _build(p.rank, [_term_to_raw(t, emap) for t in p.terms])
+    return _build(p.rank, [_term_to_raw(t, emap) for t in p.terms], p.prefactor)
 
 
 def epsilon_reduce(p: TensorPoly) -> TensorPoly:
     """Re-canonicalize, reducing epsilon pairs via the determinant identity."""
-    return _build(p.rank, [_term_to_raw(t) for t in p.terms])
+    return _build(p.rank, [_term_to_raw(t) for t in p.terms], p.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +437,7 @@ def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs) -> TensorPoly:
         raw1 = _term_to_raw(t1, emap1)
         for t2 in p2.terms:
             raws.append(_merge_raws(raw1, _term_to_raw(t2, emap2)))
-    return _build(rank, raws)
+    return _build(rank, raws, atom_mul(p1.prefactor, p2.prefactor))
 
 
 def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
@@ -507,7 +526,7 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
             raw = _term_to_raw(t, emap)
             raw['deltas'].extend(extra)
             raws.append(raw)
-    return _build(total_rank, raws)
+    return _build(total_rank, raws, core.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +602,7 @@ def couple_even(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
     return poly_scale(_sum_even(A, B, l3), 1 / kappa_even(A.rank, B.rank, l3))
 
 
-_EPS3 = TensorPoly(3, (TensorTerm(SUM_ONE, epses=((('f', 0), ('f', 1), ('f', 2)),)),))
+_EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
 
 
 def _sum_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
@@ -611,14 +630,12 @@ def odd_norm(l1: int, l2: int, l3: int) -> Fraction:
     with w(a.b=1) = 1.  The orientation requirement w(1) > 0 pins the sign."""
     T = _sum_odd(harmonic_tensor('a', l1), harmonic_tensor('b', l2), l3)
     W = contract(T, vector_power('a', l3 - 1), l3 - 1)
-    w1 = Fraction(0)
     for t in W.terms:
         if t.epses != ((('f', 0), ('s', 'a'), ('s', 'b')),) or t.deltas or t.vecs or t.boxes:
             raise AssertionError("odd coupling probe has unexpected structure")
-        if len(t.coeff.atoms) != 1 or t.coeff.atoms[0].radicand != 1 \
-                or t.coeff.atoms[0].pi_half or t.coeff.atoms[0].i_pow:
-            raise AssertionError("odd coupling probe coefficient not rational")
-        w1 += t.coeff.atoms[0].rat
+    if W.prefactor != ATOM_ONE:
+        raise AssertionError("odd coupling probe coefficient not rational")
+    w1 = sum(t.coeff for t in W.terms)
     if w1 <= 0:
         raise AssertionError(f"odd coupling orientation factor w(1)={w1} <= 0")
     return 1 / w1

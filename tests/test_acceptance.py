@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from cartensor.cli import _default_corpus_path, _load_corpus
-from cartensor.coeff import CoeffSum, SUM_ONE, atom, atom_mul
+from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul
 from cartensor.oracle import (
     UnitVector,
     eval_expr,
@@ -216,12 +216,12 @@ def parse_monomials(spec: str) -> dict:
     return out
 
 
-def scalar_coeff(const, n: int) -> CoeffSum:
+def scalar_coeff(const, n: int) -> CoeffAtom:
     p, q, rn, rd, h = const
-    return CoeffSum.from_atom(atom(Fraction(p * n, q), Fraction(rn, rd), h))
+    return atom(Fraction(p * n, q), Fraction(rn, rd), h)
 
 
-DELTA = TensorPoly(2, (TensorTerm(SUM_ONE, deltas=((0, 1),)),))
+DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
 
 
 def trace(poly: TensorPoly, i: int, j: int) -> TensorPoly:
@@ -259,7 +259,7 @@ class TestCorpusFidelity:
             assert t.epses == () and t.boxes == ()
             key = tuple(sorted(t.dots))
             assert key in expected, f"unexpected monomial {key}"
-            assert t.coeff == scalar_coeff(const, expected[key]), key
+            assert result.poly.term_atom(t) == scalar_coeff(const, expected[key]), key
 
     def test_oracle_all_entries_within_budget(self):
         start = time.time()
@@ -305,9 +305,9 @@ class TestWorkedExamples:
         """[Y1(c) x Y1(d)]^2 core: (3/4)(c_i d_j + c_j d_i) - (1/2)(c.d) delta."""
         Q = couple_even(harmonic_tensor("c", 1), harmonic_tensor("d", 1), 2)
         assert len(Q.terms) == 3
-        by_shape = {(t.vecs, t.deltas, t.dots): t.coeff for t in Q.terms}
-        three_q = CoeffSum.from_atom(atom(Fraction(3, 4)))
-        minus_half = CoeffSum.from_atom(atom(Fraction(-1, 2)))
+        by_shape = {(t.vecs, t.deltas, t.dots): Q.term_atom(t) for t in Q.terms}
+        three_q = atom(Fraction(3, 4))
+        minus_half = atom(Fraction(-1, 2))
         assert by_shape[(("c", 0), ("d", 1)), (), ()] == three_q
         assert by_shape[(("d", 0), ("c", 1)), (), ()] == three_q
         assert by_shape[(), ((0, 1),), (("c", "d", 1),)] == minus_half
@@ -317,11 +317,10 @@ class TestWorkedExamples:
         (9/4)(a.c)(a.d) - (3/4)(c.d)."""
         Q = couple_even(harmonic_tensor("c", 1), harmonic_tensor("d", 1), 2)
         got = full_contract(harmonic_tensor("a", 2), Q)
-        coeffs = {tuple(sorted(t.dots)): t.coeff for t in got.terms}
+        coeffs = {tuple(sorted(t.dots)): got.term_atom(t) for t in got.terms}
         assert coeffs == {
-            (("a", "c", 1), ("a", "d", 1)):
-                CoeffSum.from_atom(atom(Fraction(9, 4))),
-            (("c", "d", 1),): CoeffSum.from_atom(atom(Fraction(-3, 4))),
+            (("a", "c", 1), ("a", "d", 1)): atom(Fraction(9, 4)),
+            (("c", "d", 1),): atom(Fraction(-3, 4)),
         }
 
     def test_triple_chain_constant(self):
@@ -330,12 +329,11 @@ class TestWorkedExamples:
 
     def test_triple_full_reduction(self):
         result = reduce_expr(parse("[Y[2](a) x [Y[1](c) x Y[1](d)][2]][0]"))
-        coeffs = {tuple(sorted(t.dots)): t.coeff for t in result.poly.terms}
+        coeffs = {tuple(sorted(t.dots)): result.poly.term_atom(t)
+                  for t in result.poly.terms}
         assert coeffs == {
-            (("a", "c", 1), ("a", "d", 1)):
-                CoeffSum.from_atom(atom(Fraction(3, 16), 6, -3)),
-            (("c", "d", 1),):
-                CoeffSum.from_atom(atom(Fraction(-1, 16), 6, -3)),
+            (("a", "c", 1), ("a", "d", 1)): atom(Fraction(3, 16), 6, -3),
+            (("c", "d", 1),): atom(Fraction(-1, 16), 6, -3),
         }
         assert [lab for lab, _ in result.factor_trace] == ["q[1,1,2]", "S[2]"]
 
@@ -344,7 +342,7 @@ class TestWorkedExamples:
         R = couple_odd(harmonic_tensor("a", 2), harmonic_tensor("b", 2), 1)
         assert len(R.terms) == 1
         t = R.terms[0]
-        assert t.coeff == SUM_ONE
+        assert R.term_atom(t) == ATOM_ONE
         assert t.dots == (("a", "b", 1),)
         assert t.epses == (((("f", 0), ("s", "a"), ("s", "b"))),)
         assert odd_norm(1, 1, 1) == 1
@@ -357,7 +355,7 @@ class TestWorkedExamples:
         assert r_factor(2, 2, 1) == atom(Fraction(1, 4), 30, -1)
         assert len(result.poly.terms) == 1
         t = result.poly.terms[0]
-        assert t.coeff == CoeffSum.from_atom(atom(Fraction(1, 4), 30, -1))
+        assert result.poly.term_atom(t) == atom(Fraction(1, 4), 30, -1)
         assert t.dots == (("a", "b", 1),)
         assert [lab for lab, _ in result.factor_trace] == ["r[2,2,1]"]
 
@@ -365,12 +363,13 @@ class TestWorkedExamples:
         """Coupling two odd rank-1 pairs: the epsilon pair collapses to dots."""
         result = reduce_expr(
             parse("[[Y[2](a) x Y[2](b)][1] x [Y[2](c) x Y[2](d)][1]][0]"))
-        c = CoeffSum.from_atom(atom(Fraction(15, 32), 3, -4))
-        coeffs = {tuple(sorted(t.dots)): t.coeff for t in result.poly.terms}
+        coeffs = {tuple(sorted(t.dots)): result.poly.term_atom(t)
+                  for t in result.poly.terms}
         assert coeffs == {
-            (("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)): c,
+            (("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)):
+                atom(Fraction(15, 32), 3, -4),
             (("a", "b", 1), ("a", "d", 1), ("b", "c", 1), ("c", "d", 1)):
-                c.neg(),
+                atom(Fraction(-15, 32), 3, -4),
         }
 
     def test_mixed_pair_chain_constant(self):
@@ -391,7 +390,7 @@ class TestWorkedExamples:
         assert len(got.terms) == len(integers)
         for t in got.terms:
             n = integers[tuple(sorted(t.dots))]
-            assert t.coeff == CoeffSum.from_atom(atom(Fraction(3 * n, 4)))
+            assert got.term_atom(t) == atom(Fraction(3 * n, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,7 @@ class TestLegendreContraction:
         terms = []
         for k, c in legendre_coeffs(l).items():
             dots = ((("a", "b", k)),) if k else ()
-            terms.append(TensorTerm(CoeffSum.from_atom(atom(c)), dots=dots))
+            terms.append(TensorTerm(Fraction(c), dots=dots))
         expected = TensorPoly(0, tuple(terms))
         assert poly_sub(got, expected).is_zero
 
@@ -552,7 +551,7 @@ class TestStructure:
 
     def test_embedding_term_count_live(self):
         core = TensorPoly(4, (TensorTerm(
-            SUM_ONE, vecs=(("a", 0), ("a", 1), ("b", 2), ("b", 3))),))
+            Fraction(1), vecs=(("a", 0), ("a", 1), ("b", 2), ("b", 3))),))
         p = symmetrized_embed(core, (2, 2), 1, 6)
         assert len(p.terms) == embed_count(6, (2, 2), 1)
 
@@ -562,7 +561,7 @@ class TestStructure:
             assert result.rank == 0
             assert result.parity == "even"
             for t in result.poly.terms:
-                assert t.coeff.is_real, cid
+                assert result.poly.term_atom(t).i_pow == 0, cid
                 assert t.boxes == () and t.epses == ()
                 assert t.vecs == () and t.deltas == ()
 
@@ -579,7 +578,7 @@ class TestStructure:
         for t in result.poly.terms:
             assert len(t.boxes) == 1
             assert t.epses == ()
-            assert t.coeff.is_real
+            assert result.poly.term_atom(t).i_pow == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Unit tests for the numeric oracle: harmonics, sampling, and verification."""
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
 from cartensor import oracle
-from cartensor.coeff import CoeffSum, atom
+from cartensor.coeff import atom
 from cartensor.oracle import (
     DEFAULT_SEED,
     UnitVector,
@@ -25,7 +26,7 @@ from cartensor.oracle import (
 )
 from cartensor.parser import parse
 from cartensor.reduce import Couple, Harmonic, reduce_expr
-from cartensor.tensor import TensorPoly, TensorTerm, harmonic_tensor
+from cartensor.tensor import TensorPoly, TensorTerm, harmonic_tensor, poly_add, poly_scale
 from cartensor.wigner import three_j
 
 Z_HAT = UnitVector(0.0, 0.0, 1.0)
@@ -298,7 +299,7 @@ def _reference_eval(poly, vecs, n):
     out = np.zeros((3,) * L + (n,), dtype=complex)
     basis = np.eye(3)
     for t in poly.terms:
-        base = np.full(n, t.coeff.to_complex())
+        base = np.full(n, poly.term_atom(t).to_complex())
         for s1, s2, e in t.dots:
             base = base * np.sum(vecs[s1] * vecs[s2], axis=1) ** e
         for b in t.boxes:
@@ -323,7 +324,18 @@ def _reference_eval(poly, vecs, n):
 
 
 def _term(rat, radicand=1, i_pow=0, **factors):
-    return TensorTerm(CoeffSum.from_atom(atom(rat, radicand, 0, i_pow)), **factors)
+    return atom(rat, radicand, 0, i_pow), TensorTerm(Fraction(1), **factors)
+
+
+def _hand(rank, *terms):
+    """The sum of terms, as one TensorPoly per coefficient shape: a TensorPoly
+    is one atom times rational terms, so terms of different shapes are summed
+    by evaluating each part."""
+    parts = {}
+    for a, t in terms:
+        p = poly_scale(TensorPoly(rank, (t,)), a)
+        parts[p.prefactor] = poly_add(parts.get(p.prefactor, TensorPoly(rank)), p)
+    return list(parts.values())
 
 
 def F(slot):
@@ -335,47 +347,47 @@ def S(sym):
 
 
 HAND_POLYS = {
-    "rank0": TensorPoly(0, (
+    "rank0": _hand(0,
         _term(3, dots=(("a", "b", 2), ("b", "c", 1))),
         _term(-1, 5, dots=(("a", "c", 3),), boxes=(("a", "b", "c"),)),
         _term(2),
-    )),
-    "vectors": TensorPoly(3, (
+    ),
+    "vectors": _hand(3,
         _term(1, 2, vecs=(("a", 0), ("b", 1), ("a", 2))),
         _term(-2, vecs=(("c", 0), ("c", 1), ("b", 2)), dots=(("a", "b", 4),)),
-    )),
-    "deltas": TensorPoly(5, (
+    ),
+    "deltas": _hand(5,
         _term(1, deltas=((0, 2), (1, 3)), vecs=(("c", 4),)),
         _term(-3, deltas=((0, 4),), vecs=(("a", 1), ("b", 2), ("a", 3))),
-    )),
-    "delta_alone": TensorPoly(2, (
+    ),
+    "delta_alone": _hand(2,
         _term(7, 3, deltas=((0, 1),), dots=(("a", "b", 3),)),
-    )),
-    "eps1": TensorPoly(2, (
+    ),
+    "eps1": _hand(2,
         _term(1, epses=((F(0), S("a"), S("b")),), vecs=(("c", 1),)),
         _term(2, epses=((S("a"), F(1), S("c")),), vecs=(("b", 0),)),
         _term(-1, epses=((S("b"), S("c"), F(0)),), vecs=(("a", 1),),
               dots=(("a", "c", 2),)),
-    )),
-    "eps2": TensorPoly(3, (
+    ),
+    "eps2": _hand(3,
         _term(1, epses=((F(0), F(2), S("a")),), vecs=(("b", 1),)),
         _term(-4, 3, epses=((F(1), S("c"), F(2)),), vecs=(("a", 0),)),
         _term(5, epses=((F(2), F(0), S("b")),), vecs=(("c", 1),)),
-    )),
-    "eps3": TensorPoly(5, (
+    ),
+    "eps3": _hand(5,
         _term(1, epses=((F(1), F(2), F(4)),), vecs=(("a", 0), ("b", 3))),
         _term(-2, epses=((F(0), F(3), F(4)),), deltas=((1, 2),)),
         _term(3, epses=((F(4), F(1), F(3)),), deltas=((0, 2),)),
-    )),
-    "boxes": TensorPoly(1, (
+    ),
+    "boxes": _hand(1,
         _term(3, 7, vecs=(("a", 0),), boxes=(("a", "b", "c"),),
               dots=(("b", "c", 2),)),
         _term(1, vecs=(("c", 0),)),
-    )),
-    "imaginary": TensorPoly(2, (
+    ),
+    "imaginary": _hand(2,
         _term(1, 2, i_pow=1, vecs=(("a", 0), ("b", 1))),
         _term(1, deltas=((0, 1),)),
-    )),
+    ),
 }
 
 
@@ -386,10 +398,10 @@ class TestEvalPolyBatch:
     def vecs(self):
         return sample_unit_vectors(31, 17, ["a", "b", "c"])
 
-    def _check(self, poly, vecs, n):
-        got = eval_poly_batch(poly, vecs, n)
-        want = _reference_eval(poly, vecs, n)
-        assert got.shape == (3,) * poly.rank + (n,)
+    def _check(self, parts, vecs, n):
+        got = sum(eval_poly_batch(poly, vecs, n) for poly in parts)
+        want = sum(_reference_eval(poly, vecs, n) for poly in parts)
+        assert got.shape == (3,) * parts[0].rank + (n,)
         assert np.iscomplexobj(got) == np.iscomplexobj(want)
         scale = float(np.max(np.abs(want)))
         assert scale > 0
@@ -400,8 +412,9 @@ class TestEvalPolyBatch:
         self._check(HAND_POLYS[name], vecs, 17)
 
     def test_imaginary_coefficient_returns_complex(self, vecs):
-        assert np.iscomplexobj(eval_poly_batch(HAND_POLYS["imaginary"], vecs, 17))
-        assert not np.iscomplexobj(eval_poly_batch(HAND_POLYS["eps1"], vecs, 17))
+        imaginary = [p for p in HAND_POLYS["imaginary"] if p.prefactor.i_pow]
+        assert np.iscomplexobj(eval_poly_batch(imaginary[0], vecs, 17))
+        assert not np.iscomplexobj(eval_poly_batch(HAND_POLYS["eps1"][0], vecs, 17))
 
     @pytest.mark.parametrize("text", [
         "[Y[2](a) x Y[2](b)][1]",
@@ -410,7 +423,7 @@ class TestEvalPolyBatch:
         "[Y[3](a) x Y[2](b)][4]",
     ])
     def test_reductions(self, text, vecs):
-        self._check(reduce_expr(parse(text)).poly, vecs, 17)
+        self._check([reduce_expr(parse(text)).poly], vecs, 17)
 
     def test_single_configuration(self, vecs):
         one = {s: v[:1] for s, v in vecs.items()}

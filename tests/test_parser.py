@@ -8,7 +8,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cartensor.coeff import CoeffSum, atom
 from cartensor.parser import (
     ExprError,
     ExprSemanticError,
@@ -22,9 +21,8 @@ from cartensor.parser import (
     render_text,
     result_to_obj,
 )
-from cartensor.reduce import (Couple, Harmonic, InvalidExpr, ReductionResult,
-                              expr_leaves, expr_rank, reduce_expr, validate_expr)
-from cartensor.tensor import TensorPoly, TensorTerm
+from cartensor.reduce import (Couple, Harmonic, InvalidExpr, expr_leaves, expr_rank,
+                              reduce_expr, validate_expr)
 
 
 def _reduce(src):
@@ -128,17 +126,6 @@ class TestRenderText:
         assert render_text(_reduce("Y[2](a)")) == "1/2 * (3*a[i]*a[j] - d(i,j))"
 
 
-    def test_mixed_coefficient_shapes_rejected(self):
-        # every reduction result shares one coefficient shape across its terms
-        poly = TensorPoly(0, (
-            TensorTerm(CoeffSum.from_atom(atom(1, 2)), dots=(("a", "b", 1),)),
-            TensorTerm(CoeffSum.from_atom(atom(1, 3))),
-        ))
-        mixed = ReductionResult(parse("[Y[1](a) x Y[1](b)][0]"), poly, "even", (), True)
-        with pytest.raises(ValueError, match="one atom shape"):
-            render_text(mixed)
-
-
 class TestRenderLatex:
     def test_scalar_pair(self):
         s = render_latex(_reduce("[Y[1](a) x Y[1](b)][0]"))
@@ -208,6 +195,11 @@ def test_render_golden(row):
     result = _reduce(row["expr"])
     assert render_text(result) == row["text"]
     assert render_latex(result) == row["latex"]
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[row["expr"] for row in GOLDEN])
+def test_render_json_golden(row):
+    assert render_json(_reduce(row["expr"])) == row["json"]
 
 
 # ---------------------------------------------------------------------------

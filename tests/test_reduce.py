@@ -4,8 +4,10 @@ validation, and assembly of full reductions."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from cartensor.coeff import CoeffSum, atom, atom_canonical, atom_mul
+from cartensor.coeff import atom, atom_canonical, atom_mul
 from cartensor.oracle import reduce_pair_identities
 from cartensor.reduce import (
     Couple,
@@ -20,7 +22,7 @@ from cartensor.reduce import (
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import cross_vector, harmonic_tensor, poly_sub
+from cartensor.tensor import cross_vector, harmonic_tensor, poly_scale, poly_sub
 
 
 def _exact(a, rat, radicand=1, pi_half=0):
@@ -110,7 +112,7 @@ class TestReduce:
         assert len(res.poly.terms) == 1
         t = res.poly.terms[0]
         assert t.dots == (('a', 'b', 1),)
-        assert t.coeff == CoeffSum.from_atom(atom(Fraction(1, 4), 3, -2))
+        assert res.poly.term_atom(t) == atom(Fraction(1, 4), 3, -2)
         assert [label for label, _ in res.factor_trace] == ["S[1]"]
 
     def test_odd_scalar_triple(self):
@@ -123,8 +125,8 @@ class TestReduce:
         assert t.boxes == (('a', 'b', 'c'),)
         assert t.dots == ()
         # r[1,1,1] * S[1] = sqrt(3/2) sqrt3 /(8 pi^2) = 3/(8 sqrt2 pi^2)
-        assert t.coeff == CoeffSum.from_atom(
-            atom_canonical(atom_mul(r_factor(1, 1, 1), s_factor(1))))
+        assert res.poly.term_atom(t) == \
+            atom_canonical(atom_mul(r_factor(1, 1, 1), s_factor(1)))
 
     def test_rank_one_odd_pair(self):
         # [Y2(a) x Y2(b)]^1 = r[2,2,1] (a.b) (a x b)
@@ -136,7 +138,7 @@ class TestReduce:
         t = res.poly.terms[0]
         assert t.dots == (('a', 'b', 1),)
         assert t.epses == cross_vector('a', 'b').terms[0].epses
-        assert t.coeff == CoeffSum.from_atom(atom_canonical(r_factor(2, 2, 1)))
+        assert res.poly.term_atom(t) == atom_canonical(r_factor(2, 2, 1))
         assert [label for label, _ in res.factor_trace] == ["r[2,2,1]"]
 
     def test_factor_trace_order(self):
@@ -177,3 +179,30 @@ class TestPairIdentities:
     def test_unsupported_pair_rejected(self):
         with pytest.raises(ValueError):
             reduce_pair_identities(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Property test: exchange symmetry of the coupling
+# ---------------------------------------------------------------------------
+
+def _tree(draw, leaves, names):
+    """A random valid coupling tree with the given number of leaves, degrees
+    0..2, each coupling rank drawn inside the triangle of its children."""
+    if leaves == 1:
+        return Harmonic(draw(st.integers(0, 2)), next(names))
+    k = draw(st.integers(1, leaves - 1))
+    left = _tree(draw, k, names)
+    right = _tree(draw, leaves - k, names)
+    l1, l2 = expr_rank(left), expr_rank(right)
+    return Couple(left, right, draw(st.integers(abs(l1 - l2), l1 + l2)))
+
+
+@settings(deadline=None, max_examples=100,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(st.data())
+def test_exchange_symmetry(data):
+    """[A x B][L] = (-1)^(l1+l2-L) [B x A][L], as equal exact polynomials."""
+    root = _tree(data.draw, data.draw(st.integers(2, 4)), iter("abcd"))
+    l1, l2, L = expr_rank(root.left), expr_rank(root.right), root.L
+    swapped = reduce_expr(Couple(root.right, root.left, L)).poly
+    assert reduce_expr(root).poly == poly_scale(swapped, (-1) ** (l1 + l2 - L))

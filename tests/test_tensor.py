@@ -9,8 +9,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from cartensor.coeff import CoeffSum, SUM_ONE, atom
+from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul, square_free_split
 from cartensor.tensor import (
     TensorPoly,
     TensorTerm,
@@ -35,7 +37,7 @@ from cartensor.tensor import (
     vector_power,
 )
 
-DELTA = TensorPoly(2, (TensorTerm(SUM_ONE, deltas=((0, 1),)),))
+DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
 
 
 def coeff_of(poly, **parts):
@@ -49,12 +51,12 @@ def coeff_of(poly, **parts):
     for t in poly.terms:
         if (t.vecs, t.deltas, t.dots, t.boxes) == (
                 target["vecs"], target["deltas"], target["dots"], target["boxes"]):
-            return t.coeff
+            return poly.term_atom(t)
     return None
 
 
-def rational_sum(x):
-    return CoeffSum.from_atom(atom(Fraction(x)))
+def rational_atom(x):
+    return atom(Fraction(x))
 
 
 def trace(poly, i, j):
@@ -78,7 +80,88 @@ class TestBasicPolys:
         assert poly_sub(p, p).is_zero
         assert poly_add(p, poly_neg(p)).is_zero
         q = poly_scale(p, atom(Fraction(2)))
-        assert q.terms[0].coeff == rational_sum(2)
+        assert q.term_atom(q.terms[0]) == rational_atom(2)
+
+
+class TestPrefactor:
+    """A TensorPoly is one canonical atom (rat == 1) times rational terms."""
+
+    def test_mixed_prefactor_shapes_rejected(self):
+        p = vector_power('a', 1)
+        q = poly_scale(vector_power('b', 1), atom(1, 2))
+        with pytest.raises(ValueError, match="prefactor"):
+            poly_add(poly_scale(p, atom(1, 3)), q)
+        with pytest.raises(ValueError, match="prefactor"):
+            poly_sub(p, q)
+        with pytest.raises(ValueError, match="prefactor"):
+            poly_add(p, poly_scale(p, atom(1, 1, 0, 1)))
+
+    def test_normal_form(self):
+        p = harmonic_tensor('a', 2)
+        assert poly_scale(poly_scale(p, atom(2, 3)), atom(1, 3)) == poly_scale(p, atom(6))
+        q = poly_scale(p, atom(Fraction(1, 2), 3, -1))
+        assert q.prefactor == atom(1, 3, -1)
+        assert [q.term_atom(t) for t in q.terms] == \
+            [atom(c / 2, 3, -1) for c in (t.coeff for t in p.terms)]
+        assert poly_add(TensorPoly(2), q) == q == poly_add(q, TensorPoly(2))
+
+    def test_zero_results_carry_atom_one(self):
+        q = poly_scale(harmonic_tensor('a', 2), atom(1, 2, 1, 1))
+        for zero in (poly_sub(q, q), poly_add(q, poly_neg(q)), poly_scale(q, 0),
+                     poly_scale(q, atom(0)), trace(q, 0, 1), scalar_poly(atom(0))):
+            assert zero.is_zero
+            assert zero.prefactor == ATOM_ONE
+        assert poly_sub(q, q) == TensorPoly(2)
+
+    def test_product_moves_rational_part_into_terms(self):
+        # sqrt(2) * sqrt(6) = 2 sqrt(3); i * i = -1
+        a = poly_scale(vector_power('a', 1), atom(1, 2))
+        b = poly_scale(vector_power('b', 1), atom(1, 6))
+        p = full_contract(a, b)
+        assert p.prefactor == atom(1, 3)
+        assert p.terms[0].coeff == 2
+        ia = poly_scale(vector_power('a', 1), atom(1, 1, 0, 1))
+        ib = poly_scale(vector_power('b', 1), atom(1, 1, 0, 1))
+        p = full_contract(ia, ib)
+        assert p.prefactor == ATOM_ONE
+        assert p.terms[0].coeff == -1
+
+
+_atoms = st.builds(
+    CoeffAtom,
+    rat=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    radicand=st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)),
+    pi_half=st.integers(-4, 4),
+    i_pow=st.integers(0, 7),
+)
+
+
+@settings(deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(a=_atoms, b=_atoms)
+def test_prefactor_kernel(a, b):
+    """Scaling and contraction keep the normal form and the exact value of
+    every term: prefactor * coeff is the product of the atoms applied."""
+    p = harmonic_tensor('a', 2)
+    ab = atom_mul(a, b)
+    scaled = poly_scale(poly_scale(p, a), b)
+    assert scaled == poly_scale(p, ab)
+    pa = poly_scale(vector_power('a', 1), a)
+    pb = poly_scale(vector_power('b', 1), b)
+    contracted = full_contract(pa, pb)
+    assert contracted == poly_scale(full_contract(vector_power('a', 1),
+                                                  vector_power('b', 1)), ab)
+    for q in (scaled, contracted):
+        if ab.rat == 0:
+            assert q == TensorPoly(q.rank)
+            continue
+        pre = q.prefactor
+        assert pre.rat == 1 and pre.radicand.denominator == 1
+        assert square_free_split(pre.radicand.numerator)[0] == 1
+        assert pre.i_pow in (0, 1)
+    for t, u in zip(p.terms, scaled.terms):
+        assert u.key == t.key
+        assert scaled.term_atom(u) == atom_mul(ab, p.term_atom(t))
 
 
 class TestEpsilonAlgebra:
@@ -91,41 +174,41 @@ class TestEpsilonAlgebra:
         assert len(p.terms) == 1
         t = p.terms[0]
         assert t.boxes == (('a', 'b', 'c'),)
-        assert t.coeff == rational_sum(1)
+        assert p.term_atom(t) == rational_atom(1)
 
     def test_box_antisymmetry(self):
         p = full_contract(cross_vector('b', 'a'), vector_power('c', 1))
         assert p.terms[0].boxes == (('a', 'b', 'c'),)
-        assert p.terms[0].coeff == rational_sum(-1)
+        assert p.term_atom(p.terms[0]) == rational_atom(-1)
 
     def test_two_epsilon_reduction(self):
         # (a x b).(c x d) = (a.c)(b.d) - (a.d)(b.c)
         p = full_contract(cross_vector('a', 'b'), cross_vector('c', 'd'))
         assert len(p.terms) == 2
-        assert coeff_of(p, dots=(('a', 'c', 1), ('b', 'd', 1))) == rational_sum(1)
-        assert coeff_of(p, dots=(('a', 'd', 1), ('b', 'c', 1))) == rational_sum(-1)
+        assert coeff_of(p, dots=(('a', 'c', 1), ('b', 'd', 1))) == rational_atom(1)
+        assert coeff_of(p, dots=(('a', 'd', 1), ('b', 'c', 1))) == rational_atom(-1)
 
     def test_cross_square_with_unit_vectors(self):
         # |a x b|^2 = 1 - (a.b)^2 for unit vectors
         p = full_contract(cross_vector('a', 'b'), cross_vector('a', 'b'))
-        assert coeff_of(p) == rational_sum(1)
-        assert coeff_of(p, dots=(('a', 'b', 2),)) == rational_sum(-1)
+        assert coeff_of(p) == rational_atom(1)
+        assert coeff_of(p, dots=(('a', 'b', 2),)) == rational_atom(-1)
 
 
 class TestHarmonicTensor:
     def test_rank_two_form(self):
         # (3/2) a_i a_j - delta_ij / 2  (contracts with b_i b_j to P_2(a.b))
         p = harmonic_tensor('a', 2)
-        assert coeff_of(p, vecs=(('a', 0), ('a', 1))) == rational_sum(Fraction(3, 2))
-        assert coeff_of(p, deltas=((0, 1),)) == rational_sum(Fraction(-1, 2))
+        assert coeff_of(p, vecs=(('a', 0), ('a', 1))) == rational_atom(Fraction(3, 2))
+        assert coeff_of(p, deltas=((0, 1),)) == rational_atom(Fraction(-1, 2))
 
     def test_rank_three_form(self):
         # leading coefficient 5/2 on aaa, -1/2 on each a*delta
         p = harmonic_tensor('a', 3)
-        assert coeff_of(p, vecs=(('a', 0), ('a', 1), ('a', 2))) == rational_sum(Fraction(5, 2))
+        assert coeff_of(p, vecs=(('a', 0), ('a', 1), ('a', 2))) == rational_atom(Fraction(5, 2))
         deltas = [t for t in p.terms if t.deltas]
         assert len(deltas) == 3
-        assert all(t.coeff == rational_sum(Fraction(-1, 2)) for t in deltas)
+        assert all(p.term_atom(t) == rational_atom(Fraction(-1, 2)) for t in deltas)
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_traceless(self, l):
@@ -148,17 +231,17 @@ class TestHarmonicTensor:
         p = full_contract(harmonic_tensor('a', l), vector_power('a', l))
         assert p.rank == 0
         assert len(p.terms) == 1
-        assert p.terms[0].coeff == SUM_ONE
+        assert p.term_atom(p.terms[0]) == ATOM_ONE
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_self_contraction_value(self, l):
         # h . h = (2l-1)!! / l!  (the leading coefficient, times P_l(1))
         from cartensor.coeff import double_factorial
         p = full_contract(harmonic_tensor('a', l), harmonic_tensor('a', l))
-        expected = rational_sum(Fraction(double_factorial(2 * l - 1),
+        expected = rational_atom(Fraction(double_factorial(2 * l - 1),
                                          math.factorial(l)))
         assert len(p.terms) == 1
-        assert p.terms[0].coeff == expected
+        assert p.term_atom(p.terms[0]) == expected
 
     @pytest.mark.parametrize("l", range(1, 7))
     def test_term_count_per_delta_number(self, l):
@@ -181,7 +264,7 @@ class TestSymmetrizedEmbed:
         total = g1 + g2 + 2 * r
         core = TensorPoly(
             g1 + g2,
-            (TensorTerm(SUM_ONE,
+            (TensorTerm(Fraction(1),
                         vecs=tuple([('a', i) for i in range(g1)]
                                    + [('b', g1 + i) for i in range(g2)])),))
         p = symmetrized_embed(core, (g1, g2), r, total)
@@ -201,29 +284,29 @@ class TestEvenCoupling:
     def test_pair_of_vectors(self):
         # (3/4)(c_i d_j + c_j d_i - (2/3)(c.d) delta_ij)
         p = couple_even(harmonic_tensor('c', 1), harmonic_tensor('d', 1), 2)
-        assert coeff_of(p, vecs=(('c', 0), ('d', 1))) == rational_sum(Fraction(3, 4))
-        assert coeff_of(p, vecs=(('d', 0), ('c', 1))) == rational_sum(Fraction(3, 4))
+        assert coeff_of(p, vecs=(('c', 0), ('d', 1))) == rational_atom(Fraction(3, 4))
+        assert coeff_of(p, vecs=(('d', 0), ('c', 1))) == rational_atom(Fraction(3, 4))
         assert coeff_of(p, deltas=((0, 1),),
-                        dots=(('c', 'd', 1),)) == rational_sum(Fraction(-1, 2))
+                        dots=(('c', 'd', 1),)) == rational_atom(Fraction(-1, 2))
         assert len(p.terms) == 3
 
     def test_rank22_to_2(self):
         p = couple_even(harmonic_tensor('a', 2), harmonic_tensor('b', 2), 2)
         ab = (('a', 'b', 1),)
-        assert coeff_of(p, vecs=(('a', 0), ('b', 1)), dots=ab) == rational_sum(Fraction(9, 4))
-        assert coeff_of(p, vecs=(('b', 0), ('a', 1)), dots=ab) == rational_sum(Fraction(9, 4))
-        assert coeff_of(p, vecs=(('a', 0), ('a', 1))) == rational_sum(Fraction(-3, 2))
-        assert coeff_of(p, vecs=(('b', 0), ('b', 1))) == rational_sum(Fraction(-3, 2))
-        assert coeff_of(p, deltas=((0, 1),)) == rational_sum(1)
-        assert coeff_of(p, deltas=((0, 1),), dots=(('a', 'b', 2),)) == rational_sum(Fraction(-3, 2))
+        assert coeff_of(p, vecs=(('a', 0), ('b', 1)), dots=ab) == rational_atom(Fraction(9, 4))
+        assert coeff_of(p, vecs=(('b', 0), ('a', 1)), dots=ab) == rational_atom(Fraction(9, 4))
+        assert coeff_of(p, vecs=(('a', 0), ('a', 1))) == rational_atom(Fraction(-3, 2))
+        assert coeff_of(p, vecs=(('b', 0), ('b', 1))) == rational_atom(Fraction(-3, 2))
+        assert coeff_of(p, deltas=((0, 1),)) == rational_atom(1)
+        assert coeff_of(p, deltas=((0, 1),), dots=(('a', 'b', 2),)) == rational_atom(Fraction(-3, 2))
 
     def test_rank13_to_2(self):
         p = couple_even(harmonic_tensor('c', 1), harmonic_tensor('d', 3), 2)
         cd = (('c', 'd', 1),)
-        assert coeff_of(p, vecs=(('d', 0), ('d', 1)), dots=cd) == rational_sum(Fraction(5, 2))
-        assert coeff_of(p, vecs=(('c', 0), ('d', 1))) == rational_sum(Fraction(-1, 2))
-        assert coeff_of(p, vecs=(('d', 0), ('c', 1))) == rational_sum(Fraction(-1, 2))
-        assert coeff_of(p, deltas=((0, 1),), dots=cd) == rational_sum(Fraction(-1, 2))
+        assert coeff_of(p, vecs=(('d', 0), ('d', 1)), dots=cd) == rational_atom(Fraction(5, 2))
+        assert coeff_of(p, vecs=(('c', 0), ('d', 1))) == rational_atom(Fraction(-1, 2))
+        assert coeff_of(p, vecs=(('d', 0), ('c', 1))) == rational_atom(Fraction(-1, 2))
+        assert coeff_of(p, deltas=((0, 1),), dots=cd) == rational_atom(Fraction(-1, 2))
 
     @pytest.mark.parametrize("l1,l2,l3", [
         (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 2, 4),
@@ -275,7 +358,7 @@ class TestOddCoupling:
         expect = TensorPoly(1, tuple(
             TensorTerm(t.coeff, t.vecs, t.deltas, t.epses,
                        t.dots + (('a', 'b', 1),), t.boxes)
-            for t in expect.terms))
+            for t in expect.terms), expect.prefactor)
         assert poly_sub(p, expect).is_zero
 
     def test_same_argument_vanishes(self):
@@ -304,8 +387,8 @@ class TestContractions:
     def test_legendre_mixed_contraction(self):
         # a{2} fully contracted with b tensor power: P_2(a.b) = (3(a.b)^2 - 1)/2
         p = full_contract(harmonic_tensor('a', 2), vector_power('b', 2))
-        assert coeff_of(p, dots=(('a', 'b', 2),)) == rational_sum(Fraction(3, 2))
-        assert coeff_of(p) == rational_sum(Fraction(-1, 2))
+        assert coeff_of(p, dots=(('a', 'b', 2),)) == rational_atom(Fraction(3, 2))
+        assert coeff_of(p) == rational_atom(Fraction(-1, 2))
 
     def test_partial_contract_rank(self):
         p = contract(harmonic_tensor('a', 3), harmonic_tensor('b', 2), 2)
