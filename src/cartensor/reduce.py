@@ -31,8 +31,8 @@ from typing import Optional, Union
 
 from .coeff import CoeffAtom, atom, atom_mul, double_factorial, factorial
 from .wigner import three_j, triangle_ok
-from .tensor import (TensorPoly, couple_even, couple_odd, full_contract,
-                     harmonic_tensor, poly_scale)
+from .tensor import (TensorPoly, couple_even, couple_odd, harmonic_tensor,
+                     poly_scale, traceless_contract)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ def reduce_expr(expr: CouplingExpr) -> ReductionResult:
         if is_root and L == 0:
             f = s_factor(l1)
             trace.append((f"S[{l1}]", f))
-            return poly_scale(full_contract(pl, pr), f)
+            return poly_scale(traceless_contract(pl, pr, l1), f)
         if (l1 + l2 + L) % 2 == 0:
             f = q_factor(l1, l2, L)
             trace.append((f"q[{l1},{l2},{L}]", f))

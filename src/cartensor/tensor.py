@@ -36,6 +36,14 @@ The three higher-level constructions are:
   * couple_odd(A, B, l3): the epsilon-bearing counterpart for odd l1+l2-l3,
     normalized so the same-argument slope matches the cross-product convention
     (for (2,2,1): (a.b)(a x b)).
+
+Wherever both factors of a contraction are symmetric traceless (the children
+of a coupling node), traceless_contract prunes before the product loop: a term
+whose delta joins two contracted slots meets a trace of the other factor and
+so sums to exactly zero over it.  The rule holds for one side at a time only,
+since it relies on the other side keeping all its terms; contract,
+contract_slots and full_contract never prune, as they also serve non-STF
+factors such as vector_power.
 """
 
 from __future__ import annotations
@@ -407,11 +415,6 @@ def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     return _build(p.rank, [_term_to_raw(t, emap) for t in p.terms], p.prefactor)
 
 
-def epsilon_reduce(p: TensorPoly) -> TensorPoly:
-    """Re-canonicalize, reducing epsilon pairs via the determinant identity."""
-    return _build(p.rank, [_term_to_raw(t) for t in p.terms], p.prefactor)
-
-
 # ---------------------------------------------------------------------------
 # Contraction
 # ---------------------------------------------------------------------------
@@ -452,6 +455,28 @@ def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     if p1.rank != p2.rank:
         raise ValueError("full contraction requires equal ranks")
     return contract(p1, p2, p1.rank)
+
+
+def traceless_contract(A: TensorPoly, B: TensorPoly, k: int) -> TensorPoly:
+    """contract(A, B, k) for symmetric traceless A and B, without the products
+    that sum to zero.
+
+    Precondition: A and B are both STF.  A term of B with a delta joining two
+    contracted slots meets a trace of A, so summed over all of A's terms it
+    gives exactly zero; likewise a term of A with a delta inside A's last k
+    slots.  Only one side is pruned, the one that removes more products (B on
+    a tie): dropping B's terms relies on A being whole, and vice versa, so
+    pruning both is wrong (Y[2](a).Y[2](b) would lose its -3/4 term).
+    """
+    lo = A.rank - k
+    keep_a = tuple(t for t in A.terms if not any(i >= lo for i, _ in t.deltas))
+    keep_b = tuple(t for t in B.terms if not any(j < k for _, j in t.deltas))
+    if ((len(B.terms) - len(keep_b)) * len(A.terms)
+            >= (len(A.terms) - len(keep_a)) * len(B.terms)):
+        B = TensorPoly(B.rank, keep_b, B.prefactor)
+    else:
+        A = TensorPoly(A.rank, keep_a, A.prefactor)
+    return contract(A, B, k)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +615,7 @@ def _sum_even(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
     for r in range(min(l1 - k, l2 - k) + 1):
         c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
                      double_factorial(2 * l3 - 1))
-        core = contract(A, B, k + r)
+        core = traceless_contract(A, B, k + r)
         piece = symmetrized_embed(core, [l1 - k - r, l2 - k - r], r, l3)
         total = poly_add(total, poly_scale(piece, c))
     return total
@@ -612,7 +637,7 @@ def _sum_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
     for r in range(min(l1 - kp - 1, l2 - kp - 1) + 1):
         c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
                      double_factorial(2 * l3 - 1))
-        D = contract(A, B, kp + r)
+        D = traceless_contract(A, B, kp + r)
         gA = l1 - kp - r - 1
         gB = l2 - kp - r - 1
         # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -177,7 +178,7 @@ class TestJson:
 
 
 # ---------------------------------------------------------------------------
-# Property test: the CoeffSum kernel against from_atoms of naive products
+# Property test: the CoeffSum kernel against exact sympy arithmetic
 # ---------------------------------------------------------------------------
 
 _PRIMES = (2, 3, 5, 7, 11)
@@ -213,36 +214,50 @@ def _size(atoms):
     return sum(abs(a.to_complex()) for a in atoms)
 
 
+def _sym(atoms):
+    """The exact value of a sum of atoms, as an expanded sympy expression."""
+    return sympy.expand(sum(
+        (sympy.Rational(a.rat.numerator, a.rat.denominator)
+         * sympy.sqrt(sympy.Rational(a.radicand.numerator, a.radicand.denominator))
+         * sympy.pi ** sympy.Rational(a.pi_half, 2) * sympy.I ** a.i_pow
+         for a in atoms), sympy.Integer(0)))
+
+
+def _assert_exact(s, value):
+    assert sympy.expand(_sym(s.atoms) - value) == 0
+
+
 # No explain phase: it traces every shrink step, which stretches a failing run
 # to minutes.
 @settings(deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 @given(xs=_atom_lists, ys=_atom_lists, c=_raw_atoms,
        q=st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
-def test_sum_kernel_matches_from_atoms(xs, ys, c, q):
+def test_sum_kernel_matches_sympy(xs, ys, c, q):
     s, t = CoeffSum.from_atoms(xs), CoeffSum.from_atoms(ys)
     zs, zt = s.to_complex(), t.to_complex()
+    vs, vt = _sym(xs), _sym(ys)
+    _assert_exact(s, vs)
 
     prod = s.mul(t)
-    assert prod == CoeffSum.from_atoms(atom_mul(a, b) for a in xs for b in ys)
+    _assert_exact(prod, vs * vt)
     _assert_close(prod.to_complex(), zs * zt, _size(xs) * _size(ys))
 
     total = s.add(t)
-    assert total == CoeffSum.from_atoms(xs + ys)
+    _assert_exact(total, vs + vt)
     _assert_close(total.to_complex(), zs + zt, _size(xs) + _size(ys))
 
     neg = s.neg()
-    assert neg == CoeffSum.from_atoms(
-        CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow) for a in xs)
+    _assert_exact(neg, -vs)
     _assert_close(neg.to_complex(), -zs, _size(xs))
 
     by_atom = s.scale(c)
-    assert by_atom == CoeffSum.from_atoms(atom_mul(a, c) for a in xs)
+    _assert_exact(by_atom, vs * _sym([c]))
     _assert_close(by_atom.to_complex(), zs * c.to_complex(),
                   _size(xs) * abs(c.to_complex()))
 
     by_rat = s.scale(q)
-    assert by_rat == CoeffSum.from_atoms(atom_mul(a, atom(q)) for a in xs)
+    _assert_exact(by_rat, vs * sympy.Rational(q.numerator, q.denominator))
     _assert_close(by_rat.to_complex(), zs * float(q), _size(xs) * abs(float(q)))
 
     for result in (s, prod, total, neg, by_atom, by_rat):

@@ -467,3 +467,16 @@ def test_high_degree_verify():
     """Y[9] is a rank-9 tensor of 2620 terms: 3^9 index tuples per term."""
     rep = verify("Y[9](a)", n_samples=20)
     assert rep.passed, rep.to_json()
+
+
+@pytest.mark.parametrize("text", [
+    "[Y[7](a) x Y[7](b)][0]",
+    "[Y[7](a) x Y[7](b)][1]",
+    "[Y[7](a) x Y[8](b)][1]",
+    "[Y[8](a) x Y[8](b)][0]",
+])
+def test_high_degree_pairs_verify(text):
+    """Pairs that built every product of two expanded rank-7/8 harmonic tensors
+    before the contraction pruned the terms that meet a trace."""
+    rep = verify(text, n_samples=50, tol=1e-10)
+    assert rep.passed, rep.to_json()

@@ -4,11 +4,11 @@ validation, and assembly of full reductions."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from cartensor.coeff import atom, atom_canonical, atom_mul
-from cartensor.oracle import reduce_pair_identities
+from cartensor.oracle import reduce_pair_identities, verify
 from cartensor.reduce import (
     Couple,
     Harmonic,
@@ -22,7 +22,8 @@ from cartensor.reduce import (
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import cross_vector, harmonic_tensor, poly_scale, poly_sub
+from cartensor.tensor import (contract, cross_vector, harmonic_tensor, poly_scale,
+                              poly_sub, traceless_contract)
 
 
 def _exact(a, rat, radicand=1, pi_half=0):
@@ -185,14 +186,15 @@ class TestPairIdentities:
 # Property test: exchange symmetry of the coupling
 # ---------------------------------------------------------------------------
 
-def _tree(draw, leaves, names):
-    """A random valid coupling tree with the given number of leaves, degrees
-    0..2, each coupling rank drawn inside the triangle of its children."""
+def _tree(draw, leaves, names, degrees=(0, 2)):
+    """A random valid coupling tree with the given number of leaves and range
+    of leaf degrees, each coupling rank drawn inside the triangle of its
+    children."""
     if leaves == 1:
-        return Harmonic(draw(st.integers(0, 2)), next(names))
+        return Harmonic(draw(st.integers(*degrees)), next(names))
     k = draw(st.integers(1, leaves - 1))
-    left = _tree(draw, k, names)
-    right = _tree(draw, leaves - k, names)
+    left = _tree(draw, k, names, degrees)
+    right = _tree(draw, leaves - k, names, degrees)
     l1, l2 = expr_rank(left), expr_rank(right)
     return Couple(left, right, draw(st.integers(abs(l1 - l2), l1 + l2)))
 
@@ -206,3 +208,54 @@ def test_exchange_symmetry(data):
     l1, l2, L = expr_rank(root.left), expr_rank(root.right), root.L
     swapped = reduce_expr(Couple(root.right, root.left, L)).poly
     assert reduce_expr(root).poly == poly_scale(swapped, (-1) ** (l1 + l2 - L))
+
+
+# ---------------------------------------------------------------------------
+# Property test: trace pruning leaves every contraction of STF tensors exact
+# ---------------------------------------------------------------------------
+
+def test_traceless_contract_keeps_the_trace_term():
+    """Y[2](a).Y[2](b) = 9/4 (a.b)^2 - 3/4: the constant comes from the delta
+    of either side, so pruning both sides would drop it."""
+    A, B = harmonic_tensor('a', 2), harmonic_tensor('b', 2)
+    pruned = traceless_contract(A, B, 2)
+    assert pruned == contract(A, B, 2)
+    assert {t.dots: t.coeff for t in pruned.terms} == \
+        {(('a', 'b', 2),): Fraction(9, 4), (): Fraction(-3, 4)}
+
+
+@settings(deadline=None, max_examples=60,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(st.data())
+def test_traceless_contract_equals_contract(data):
+    """For STF A and B, reductions of random trees on disjoint vectors,
+    pruning the terms that meet a trace changes no contraction."""
+    left = _tree(data.draw, data.draw(st.integers(1, 2)), iter("ab"), (1, 3))
+    right = _tree(data.draw, data.draw(st.integers(1, 2)), iter("cd"), (1, 3))
+    # Rank 4 at most keeps the unpruned side to a few thousand products.
+    assume(expr_rank(left) <= 4 and expr_rank(right) <= 4)
+    A, B = reduce_expr(left).poly, reduce_expr(right).poly
+    for k in range(min(A.rank, B.rank) + 1):
+        assert traceless_contract(A, B, k) == contract(A, B, k)
+
+
+# ---------------------------------------------------------------------------
+# Property test: random valid trees against the oracle
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=100,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(st.data())
+def test_random_trees_match_oracle(data):
+    """Trees of 2 to 4 leaves, degrees 1..3 and root rank <= 2 agree with
+    direct spherical evaluation at 1e-10."""
+    leaves = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(1, leaves - 1))
+    names = iter("abcd")
+    left = _tree(data.draw, k, names, (1, 3))
+    right = _tree(data.draw, leaves - k, names, (1, 3))
+    l1, l2 = expr_rank(left), expr_rank(right)
+    assume(abs(l1 - l2) <= 2)
+    root = Couple(left, right, data.draw(st.integers(abs(l1 - l2), min(l1 + l2, 2))))
+    rep = verify(root, n_samples=50, tol=1e-10, result=reduce_expr(root))
+    assert rep.passed, rep.to_json()
