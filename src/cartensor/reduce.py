@@ -72,22 +72,47 @@ def expr_degree_sum(expr: CouplingExpr) -> int:
 
 
 class InvalidExpr(ValueError):
-    """A triangle violation or repeated vector symbol, at the node that shows it."""
+    """A triangle violation, repeated vector symbol or oversized leaf, at the
+    node that shows it."""
 
     def __init__(self, message: str, node: CouplingExpr):
         super().__init__(message)
         self.node = node
 
 
-def validate_expr(expr: CouplingExpr) -> None:
-    """Raise InvalidExpr on any triangle violation or repeated vector symbol.
+# The most terms a leaf's harmonic tensor may expand to: Y[10] (9496 terms)
+# fits, Y[11] (35696) does not.  Past it, reduction runs for minutes or more.
+MAX_LEAF_TERMS = 10_000
 
-    The node is the second use of a repeated symbol, or the coupling whose
-    ranks break the triangle rule."""
+
+def leaf_too_large(l: int) -> bool:
+    """Whether harmonic_tensor(v, l) has more than MAX_LEAF_TERMS terms.
+
+    Its terms are the involutions of l slots: T(l) = T(l-1) + (l-1) T(l-2),
+    T(0) = T(1) = 1.  The count stops as soon as it passes the bound, so a
+    huge l costs a dozen steps."""
+    prev, cur = 1, 1
+    for n in range(2, l + 1):
+        prev, cur = cur, cur + (n - 1) * prev
+        if cur > MAX_LEAF_TERMS:
+            return True
+    return False
+
+
+def validate_expr(expr: CouplingExpr) -> None:
+    """Raise InvalidExpr on any triangle violation, repeated vector symbol or
+    leaf too large to expand.
+
+    The node is the offending leaf, the second use of a repeated symbol, or
+    the coupling whose ranks break the triangle rule."""
     seen = set()
     for leaf in expr_leaves(expr):
         if leaf.l < 0:
             raise InvalidExpr(f"negative harmonic degree {leaf.l}", leaf)
+        if leaf_too_large(leaf.l):
+            raise InvalidExpr(
+                f"harmonic degree {leaf.l} too large: Y[{leaf.l}] expands to "
+                f"more than {MAX_LEAF_TERMS} terms", leaf)
         if leaf.v in seen:
             raise InvalidExpr(f"vector symbol '{leaf.v}' used more than once", leaf)
         seen.add(leaf.v)

@@ -10,17 +10,40 @@ TensorTerm monomials carrying n free slots.  Each term is a product of
   * a scalar monomial: dot products (v.w)^p and box products v.(w x u).
 
 All vectors are unit vectors, so (v.v) = 1 and never appears.  Contraction is
-exact: bonds between slots are fused through delta/vector/epsilon factors, and
-any term left with two or more epsilon-like factors (epsilon or box) is reduced
-with the 3x3 determinant identity
+exact and makes one pass per product.  contract_slots reads each term of each
+factor once into a slot table: the factors on surviving slots, already
+relabelled to output slots, and the occupant of every contracted slot (a
+vector symbol, the other end of a delta, or an epsilon position).  Each
+product then walks every chain of bonds once, across both tables, through the
+deltas that join two contracted slots, to its two ends, and fuses them:
+
+    vec.vec -> dot      vec.free -> vec      free.free -> delta
+    closed delta loop -> factor 3 (a trace)
+    vec or free slot into an epsilon position -> fills that position
+    an epsilon chained back to itself -> the product is zero
+
+A chain between two distinct epsilon-like factors (epsilon or box) is left as
+a link, and any product with two of them is reduced with the 3x3 determinant
+identity
 
     eps_ijk eps_lmn = det [[d_il, d_im, d_in],
                            [d_jl, d_jm, d_jn],
                            [d_kl, d_km, d_kn]]
 
-which uniformly covers shared-index pairs, box*box Gram determinants, and mixed
-epsilon*box products.  Canonical terms therefore carry at most one epsilon-like
-factor, and rank-0 results are polynomials in dots and (for odd parity) boxes.
+whose six children chain their links and fuse the ends by the same rules.
+This uniformly covers shared-index pairs, box*box Gram determinants, and
+mixed epsilon*box products.  Canonical terms therefore carry at most one
+epsilon-like factor, and rank-0 results are polynomials in dots and (for odd
+parity) boxes.  The epsilon-like factors of a product are ordered side 1's
+before side 2's, and the identity eliminates the first two.  Both are fixed:
+where an elimination leaves an epsilon, another order leaves a different one,
+an equal value with different canonical terms and so different output bytes.
+
+During a contraction, embedding or relabelling, coefficients are int
+numerators over one denominator per call (for a product, the lcm of each
+side's denominators, multiplied); a term's numerators are summed by monomial
+and each output term gets one Fraction.  Bond-free relabellings
+(symmetrized_embed, poly_permute_slots) go straight to the canonical form.
 
 The prefactor is a canonical atom with rat == 1 (ATOM_ONE for the zero
 polynomial), so equal values are equal TensorPolys.  Only the prefactor is ever
@@ -49,17 +72,13 @@ factors such as vector_power.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
-from .coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, double_factorial,
-                    factorial)
-
-# Entries inside factors: ('f', slot) free slot, ('s', sym) symbol,
-# ('b', bond) transient bond during contraction.
-Entry = tuple
-
+from .coeff import ATOM_ONE, CoeffAtom, atom_mul, double_factorial, factorial
 
 @dataclass(frozen=True)
 class VectorSymbol:
@@ -141,164 +160,86 @@ def _merge_terms(rank: int, terms, factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
 
 
 # ---------------------------------------------------------------------------
-# Raw (mutable) terms used during contraction
+# Raw terms: the parts of a product before it is frozen into a TensorTerm
 # ---------------------------------------------------------------------------
-# raw = {'coeff': Fraction, 'vecs': [(sym, entry)], 'deltas': [(e,e)],
-#        'epses': [(e,e,e)], 'dots': {(s1,s2): exp}}
-# Boxes live as all-symbol epsilons until freezing.
-
-def _term_to_raw(t: TensorTerm, emap=None) -> dict:
-    m = (lambda i: emap[i]) if emap is not None else (lambda i: ('f', i))
-    epses = [tuple(m(e[1]) if e[0] == 'f' else e for e in ep) for ep in t.epses]
-    epses += [tuple(('s', s) for s in b) for b in t.boxes]
-    return {
-        'coeff': t.coeff,
-        'vecs': [(s, m(i)) for s, i in t.vecs],
-        'deltas': [(m(i), m(j)) for i, j in t.deltas],
-        'epses': epses,
-        'dots': {(s1, s2): e for s1, s2, e in t.dots},
-    }
-
-
-def _merge_raws(r1: dict, r2: dict) -> dict:
-    dots = dict(r1['dots'])
-    for k, e in r2['dots'].items():
-        dots[k] = dots.get(k, 0) + e
-    return {
-        'coeff': r1['coeff'] * r2['coeff'],
-        'vecs': r1['vecs'] + r2['vecs'],
-        'deltas': r1['deltas'] + r2['deltas'],
-        'epses': r1['epses'] + r2['epses'],
-        'dots': dots,
-    }
-
-
-def _add_dot(dots: dict, s1: str, s2: str) -> None:
-    if s1 == s2:
-        return  # unit vectors: v.v = 1
-    k = (s1, s2) if s1 < s2 else (s2, s1)
-    dots[k] = dots.get(k, 0) + 1
-
-
-def _bond_occurrences(raw: dict) -> dict:
-    occ: dict = {}
-    for idx, (_, e) in enumerate(raw['vecs']):
-        if e[0] == 'b':
-            occ.setdefault(e[1], []).append(('vec', idx, 0))
-    for idx, d in enumerate(raw['deltas']):
-        for pos, e in enumerate(d):
-            if e[0] == 'b':
-                occ.setdefault(e[1], []).append(('delta', idx, pos))
-    for idx, ep in enumerate(raw['epses']):
-        for pos, e in enumerate(ep):
-            if e[0] == 'b':
-                occ.setdefault(e[1], []).append(('eps', idx, pos))
-    return occ
-
-
-def _resolve_bonds(raw: dict):
-    """Fuse bonds through vector/delta/epsilon factors.  Returns the raw term,
-    None if it annihilates, leaving only bonds that join two distinct epsilons
-    (those fall to the determinant identity)."""
-    while True:
-        occ = _bond_occurrences(raw)
-        if not occ:
-            return raw
-        progressed = False
-        for bond, lst in occ.items():
-            if len(lst) != 2:
-                raise AssertionError(f"bond {bond} appears {len(lst)} times")
-            (k1, i1, p1), (k2, i2, p2) = lst
-            if k1 == 'delta' and k2 == 'delta' and i1 == i2:
-                # trace of a delta with itself: factor 3
-                raw['coeff'] *= 3
-                del raw['deltas'][i1]
-                progressed = True
-                break
-            if k1 == 'eps' and k2 == 'eps' and i1 == i2:
-                return None  # epsilon contracted with itself
-            if k1 == 'eps' and k2 == 'eps':
-                continue  # determinant identity handles it
-            # order so the simpler factor acts on the other
-            if k2 == 'vec' or (k2 == 'delta' and k1 == 'eps'):
-                (k1, i1, p1), (k2, i2, p2) = (k2, i2, p2), (k1, i1, p1)
-            if k1 == 'vec' and k2 == 'vec':
-                s1 = raw['vecs'][i1][0]
-                s2 = raw['vecs'][i2][0]
-                for idx in sorted((i1, i2), reverse=True):
-                    del raw['vecs'][idx]
-                _add_dot(raw['dots'], s1, s2)
-            elif k1 == 'vec' and k2 == 'delta':
-                s = raw['vecs'][i1][0]
-                other = raw['deltas'][i2][1 - p2]
-                del raw['vecs'][i1]
-                del raw['deltas'][i2]
-                raw['vecs'].append((s, other))
-            elif k1 == 'vec' and k2 == 'eps':
-                s = raw['vecs'][i1][0]
-                ep = list(raw['epses'][i2])
-                ep[p2] = ('s', s)
-                raw['epses'][i2] = tuple(ep)
-                del raw['vecs'][i1]
-            elif k1 == 'delta' and k2 == 'delta':
-                o1 = raw['deltas'][i1][1 - p1]
-                o2 = raw['deltas'][i2][1 - p2]
-                for idx in sorted((i1, i2), reverse=True):
-                    del raw['deltas'][idx]
-                raw['deltas'].append((o1, o2))
-            elif k1 == 'delta' and k2 == 'eps':
-                other = raw['deltas'][i1][1 - p1]
-                ep = list(raw['epses'][i2])
-                ep[p2] = other
-                raw['epses'][i2] = tuple(ep)
-                del raw['deltas'][i1]
-            else:  # pragma: no cover - exhaustive above
-                raise AssertionError(f"unhandled bond case {k1}/{k2}")
-            progressed = True
-            break
-        if not progressed:
-            return raw  # only eps-eps bonds remain
-
+# A raw term is an int numerator (over one denominator per call), vectors
+# (sym, slot) and deltas (i, j) on output slots, a canonical dots tuple, and a
+# list of at most two epsilon-like factors: an epsilon, or a box held as an
+# all-symbol epsilon until freezing, as a list of entries ('f', slot),
+# ('s', sym) or ('b', ...).  ('b', bond) marks a contracted slot until its
+# chain is fused; ('b', k, pos) links two positions of distinct epsilon-like
+# factors, for the determinant identity to resolve.
 
 _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
 
+_by_slot = itemgetter(1)
 
-def _eliminate_eps_pairs(raw: dict) -> list:
-    """Reduce terms until at most one epsilon-like factor remains."""
-    if raw is None:
-        return []
-    if len(raw['epses']) <= 1:
-        if _bond_occurrences(raw):
-            raise AssertionError("unresolved bond outside an epsilon pair")
-        return [raw]
-    ex = raw['epses'][0]
-    ey = raw['epses'][1]
-    rest = raw['epses'][2:]
-    out = []
-    for perm, sign in _PERMS3:
-        child = {
-            'coeff': raw['coeff'] * sign,
-            'vecs': list(raw['vecs']),
-            'deltas': list(raw['deltas']),
-            'epses': list(rest),
-            'dots': dict(raw['dots']),
-        }
-        for i in range(3):
-            u, v = ex[i], ey[perm[i]]
-            if u[0] == 's' and v[0] == 's':
-                _add_dot(child['dots'], u[1], v[1])
-            elif u[0] == 's':
-                child['vecs'].append((u[1], v))
-            elif v[0] == 's':
-                child['vecs'].append((v[1], u))
-            elif u == v:
-                # the same bond on both sides: delta trace, factor 3
-                child['coeff'] *= 3
-            else:
-                child['deltas'].append((u, v))
-        out.extend(_eliminate_eps_pairs(_resolve_bonds(child)))
-    return out
+
+def _numerators(terms) -> tuple:
+    """(den, [numerator of each term over den]) with den the lcm of the
+    coefficient denominators."""
+    den = math.lcm(*[t.coeff.denominator for t in terms])
+    return den, [t.coeff.numerator * (den // t.coeff.denominator) for t in terms]
+
+
+def _eps_like(t: TensorTerm, entry) -> list:
+    """The term's epsilon-like factor, its slot entries mapped by entry(slot),
+    as a list of at most one entry list."""
+    if len(t.epses) + len(t.boxes) > 1:
+        raise AssertionError("canonical term with multiple epsilon-like factors")
+    if t.epses:
+        return [[entry(e[1]) if e[0] == 'f' else e for e in t.epses[0]]]
+    return [[('s', s) for s in t.boxes[0]]] if t.boxes else []
+
+
+def _merged_dots(d1: tuple, d2: tuple, pairs) -> tuple:
+    """The canonical dots tuple of d1 * d2 * the dot of each symbol pair."""
+    if not pairs:
+        if not d2:
+            return d1
+        if not d1:
+            return d2
+    acc = {(s1, s2): e for s1, s2, e in d1}
+    for s1, s2, e in d2:
+        acc[s1, s2] = acc.get((s1, s2), 0) + e
+    for s1, s2 in pairs:
+        k = (s1, s2) if s1 < s2 else (s2, s1)
+        acc[k] = acc.get(k, 0) + 1
+    return tuple(sorted([(s1, s2, e) for (s1, s2), e in acc.items()]))
+
+
+def _fuse(x, y, vecs: list, deltas: list, pairs: list, eps: list) -> bool:
+    """Join x and y, the two ends of one resolved chain of contracted slots;
+    False if that annihilates the term.
+
+    An end is a vector ('s', sym), a free slot ('f', slot) or a position
+    ('e', k, pos) of eps[k].  vec.vec gives a dot (v.v = 1), vec.free a
+    vector, free.free a delta; a vector or free slot fills an epsilon
+    position; an epsilon whose chain comes back to itself is zero, and a chain
+    between two distinct epsilon-like factors becomes a link for the
+    determinant identity."""
+    if x[0] == 'e':
+        x, y = y, x
+    if y[0] == 'e':
+        if x[0] == 'e':
+            if x[1] == y[1]:
+                return False
+            link = ('b',) + x[1:]
+            eps[x[1]][x[2]] = link
+            eps[y[1]][y[2]] = link
+        else:
+            eps[y[1]][y[2]] = x
+    elif x[0] == 's':
+        if y[0] == 'f':
+            vecs.append((x[1], y[1]))
+        elif x[1] != y[1]:
+            pairs.append((x[1], y[1]))
+    elif y[0] == 's':
+        vecs.append((y[1], x[1]))
+    else:
+        deltas.append((x[1], y[1]))
+    return True
 
 
 def _sort_with_parity(items):
@@ -312,47 +253,77 @@ def _sort_with_parity(items):
     return tuple(items), sign
 
 
-def _freeze(raw: dict):
-    if raw is None:
-        return None
-    coeff = raw['coeff']
-    boxes = []
-    epses = []
-    for ep in raw['epses']:
+def _freeze_into(acc: dict, num: int, vecs, deltas, dots: tuple, eps: list) -> None:
+    """Add the canonical form of a raw term with at most one epsilon-like
+    factor to acc, a dict of int numerators by TensorTerm key."""
+    epses = boxes = ()
+    if eps:
+        if len(eps) > 1:
+            raise AssertionError("canonical term with multiple epsilon-like factors")
+        ep = eps[0]
         if len({*ep}) < 3:
-            return None  # repeated entry annihilates the epsilon
-        if all(e[0] == 's' for e in ep):
+            return  # a repeated entry annihilates the epsilon
+        kinds = (ep[0][0], ep[1][0], ep[2][0])
+        if kinds == ('s', 's', 's'):
             triple, sign = _sort_with_parity(e[1] for e in ep)
-            if len({*triple}) < 3:
-                return None
-            boxes.append(triple)
-            if sign < 0:
-                coeff = -coeff
+            boxes = (triple,)
+        elif 'b' in kinds:
+            raise AssertionError("unresolved bond outside an epsilon pair")
         else:
-            ents, sign = _sort_with_parity(ep)
-            epses.append(ents)
-            if sign < 0:
-                coeff = -coeff
-    if len(boxes) + len(epses) > 1:
-        raise AssertionError("canonical term with multiple epsilon-like factors")
-    if coeff == 0:
-        return None
-    vecs = tuple(sorted(((s, e[1]) for s, e in raw['vecs']), key=lambda v: (v[1], v[0])))
-    deltas = tuple(sorted((min(i[1], j[1]), max(i[1], j[1]))
-                          for i, j in raw['deltas']))
-    dots = tuple(sorted((s1, s2, e) for (s1, s2), e in raw['dots'].items() if e))
-    return TensorTerm(coeff, vecs, deltas, tuple(sorted(epses)),
-                      dots, tuple(sorted(boxes)))
+            triple, sign = _sort_with_parity(ep)
+            epses = (triple,)
+        if sign < 0:
+            num = -num
+    key = (tuple(sorted(vecs, key=_by_slot)),
+           tuple(sorted([(i, j) if i < j else (j, i) for i, j in deltas])),
+           epses, dots, boxes)
+    acc[key] = acc.get(key, 0) + num
 
 
-def _build(rank: int, raws, factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    terms = []
-    for raw in raws:
-        for resolved in _eliminate_eps_pairs(_resolve_bonds(raw)):
-            t = _freeze(resolved)
-            if t is not None:
-                terms.append(t)
-    return _merge_terms(rank, terms, factor)
+def _determinant_into(acc: dict, num: int, vecs, deltas, dots: tuple, ex, ey) -> None:
+    """Add eps(ex) eps(ey) times the rest of the term to acc, by
+
+        eps_ijk eps_lmn = det [[d_il, d_im, d_in], [d_jl, ...], [d_kl, ...]].
+
+    Each of the six permutations pairs ex[i] with ey[perm[i]]; pairs that
+    share a link are chained to their two ends and fused, and a chain that
+    closes on itself is a delta trace, factor 3."""
+    for perm, sign in _PERMS3:
+        links = [(ex[i], ey[perm[i]]) for i in range(3)]
+        cvecs, cdeltas, pairs = list(vecs), list(deltas), []
+        n = num * sign
+        while links:
+            x, y = links.pop()
+            while 'b' in (x[0], y[0]) and x != y:
+                if x[0] != 'b':
+                    x, y = y, x
+                u, v = links.pop(next(i for i, l in enumerate(links) if x in l))
+                x = v if u == x else u
+            if x[0] == 'b':
+                n *= 3
+            elif not _fuse(x, y, cvecs, cdeltas, pairs, None):
+                break
+        else:
+            _freeze_into(acc, n, cvecs, cdeltas, _merged_dots(dots, (), pairs), [])
+
+
+def _from_numerators(rank: int, acc: dict, den: int,
+                     factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """factor * sum of acc[key]/den * monomial(key); factor is a canonical atom."""
+    rat = factor.rat
+    n, d = rat.numerator, den * rat.denominator
+    out = tuple([TensorTerm(Fraction(c * n, d), *k) for k, c in sorted(acc.items()) if c])
+    if not out:
+        return TensorPoly(rank)
+    return TensorPoly(rank, out, _shape(factor))
+
+
+def _relabel_into(acc: dict, num: int, t: TensorTerm, m, extra=()) -> None:
+    """Add term t, with slot i moved to m[i] and the deltas extra appended, to
+    acc.  There are no bonds, so nothing needs resolving."""
+    _freeze_into(acc, num, [(s, m[i]) for s, i in t.vecs],
+                 [(m[i], m[j]) for i, j in t.deltas] + list(extra), t.dots,
+                 _eps_like(t, lambda i: ('f', m[i])))
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +340,6 @@ def vector_power(v, l: int) -> TensorPoly:
     s = _sym_name(v)
     vecs = tuple((s, i) for i in range(l))
     return TensorPoly(l, (TensorTerm(Fraction(1), vecs),))
-
-
-def cross_vector(v1, v2) -> TensorPoly:
-    """The rank-1 tensor (v1 x v2)."""
-    s1, s2 = _sym_name(v1), _sym_name(v2)
-    raw = {'coeff': Fraction(1), 'vecs': [], 'deltas': [],
-           'epses': [(('f', 0), ('s', s1), ('s', s2))], 'dots': {}}
-    return _build(1, [raw])
 
 
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
@@ -411,13 +374,64 @@ def poly_scale(p: TensorPoly, factor) -> TensorPoly:
 
 def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping."""
-    emap = {i: ('f', perm[i]) for i in range(p.rank)}
-    return _build(p.rank, [_term_to_raw(t, emap) for t in p.terms], p.prefactor)
+    den, nums = _numerators(p.terms)
+    acc: dict = {}
+    for num, t in zip(nums, p.terms):
+        _relabel_into(acc, num, t, perm)
+    return _from_numerators(p.rank, acc, den, p.prefactor)
 
 
 # ---------------------------------------------------------------------------
 # Contraction
 # ---------------------------------------------------------------------------
+
+def _split(t: TensorTerm, where: list, nb: int) -> tuple:
+    """One term of a contraction factor, read once: (vecs, deltas, eps, dots,
+    occ).  The factors on surviving slots are relabelled to output slots;
+    occ[bond] is the occupant of that bond's contracted slot: a vector
+    ('s', sym), the other end of a delta, ('f', slot) or ('b', bond), or a
+    position ('e', pos) of the term's epsilon-like factor."""
+    occ = [None] * nb
+    vecs = []
+    for s, i in t.vecs:
+        w = where[i]
+        if w[0] == 'f':
+            vecs.append((s, w[1]))
+        else:
+            occ[w[1]] = ('s', s)
+    deltas = []
+    for i, j in t.deltas:
+        wi, wj = where[i], where[j]
+        if wi[0] == 'f' and wj[0] == 'f':
+            deltas.append((wi[1], wj[1]))
+        else:
+            if wi[0] == 'b':
+                occ[wi[1]] = wj
+            if wj[0] == 'b':
+                occ[wj[1]] = wi
+    eps = _eps_like(t, where.__getitem__)
+    for ep in eps:
+        for pos, e in enumerate(ep):
+            if e[0] == 'b':
+                occ[e[1]] = ('e', pos)
+    return vecs, deltas, tuple(map(tuple, eps)), t.dots, occ
+
+
+def _chain_end(occ: tuple, b: int, s: int, eps_index: tuple, seen: list):
+    """Walk from bond b into side s, through deltas that join two contracted
+    slots, to the chain's end: ('s', sym), ('f', slot), ('e', k, pos) with k
+    the index of the side's epsilon-like factor, or None for a closed loop."""
+    start = b
+    while True:
+        o = occ[s][b]
+        if o[0] != 'b':
+            return ('e', eps_index[s], o[1]) if o[0] == 'e' else o
+        b = o[1]
+        if b == start:
+            return None
+        seen[b] = True
+        s = 1 - s
+
 
 def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs) -> TensorPoly:
     """Contract specific slot pairs (i in p1, j in p2).  Surviving p1 slots come
@@ -427,20 +441,53 @@ def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs) -> TensorPoly:
     paired2 = {j for _, j in pairs}
     if len(paired1) != len(pairs) or len(paired2) != len(pairs):
         raise ValueError("duplicate slot in contraction pairs")
+    if not (paired1 <= set(range(p1.rank)) and paired2 <= set(range(p2.rank))):
+        raise ValueError("contraction slot out of range")
     free1 = [i for i in range(p1.rank) if i not in paired1]
     free2 = [j for j in range(p2.rank) if j not in paired2]
     rank = len(free1) + len(free2)
-    emap1 = {i: ('f', n) for n, i in enumerate(free1)}
-    emap2 = {j: ('f', len(free1) + n) for n, j in enumerate(free2)}
+    where1 = [None] * p1.rank
+    where2 = [None] * p2.rank
+    for n, i in enumerate(free1):
+        where1[i] = ('f', n)
+    for n, j in enumerate(free2):
+        where2[j] = ('f', len(free1) + n)
     for b, (i, j) in enumerate(pairs):
-        emap1[i] = ('b', b)
-        emap2[j] = ('b', b)
-    raws = []
-    for t1 in p1.terms:
-        raw1 = _term_to_raw(t1, emap1)
-        for t2 in p2.terms:
-            raws.append(_merge_raws(raw1, _term_to_raw(t2, emap2)))
-    return _build(rank, raws, atom_mul(p1.prefactor, p2.prefactor))
+        where1[i] = where2[j] = ('b', b)
+    nb = len(pairs)
+    den1, nums1 = _numerators(p1.terms)
+    den2, nums2 = _numerators(p2.terms)
+    side1 = [_split(t, where1, nb) for t in p1.terms]
+    side2 = [_split(t, where2, nb) for t in p2.terms]
+    acc: dict = {}
+    for num1, (vecs1, deltas1, eps1, dots1, occ1) in zip(nums1, side1):
+        for num2, (vecs2, deltas2, eps2, dots2, occ2) in zip(nums2, side2):
+            num = num1 * num2
+            vecs = vecs1 + vecs2
+            deltas = deltas1 + deltas2
+            eps = [list(e) for e in eps1] + [list(e) for e in eps2]
+            occ = (occ1, occ2)
+            eps_index = (0, len(eps1))
+            dot_pairs = []
+            seen = [False] * nb
+            for b in range(nb):
+                if seen[b]:
+                    continue
+                seen[b] = True
+                x = _chain_end(occ, b, 0, eps_index, seen)
+                if x is None:
+                    num *= 3  # a closed delta loop is a trace
+                elif not _fuse(x, _chain_end(occ, b, 1, eps_index, seen),
+                               vecs, deltas, dot_pairs, eps):
+                    break
+            else:
+                dots = _merged_dots(dots1, dots2, dot_pairs)
+                if len(eps) < 2:
+                    _freeze_into(acc, num, vecs, deltas, dots, eps)
+                else:
+                    _determinant_into(acc, num, vecs, deltas, dots, *eps)
+    return _from_numerators(rank, acc, den1 * den2,
+                            atom_mul(p1.prefactor, p2.prefactor))
 
 
 def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
@@ -540,18 +587,16 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
     for g in group_sizes:
         offsets.append(off)
         off += g
-    raws = []
+    den, nums = _numerators(core.terms)
+    acc: dict = {}
     for chosen, pr in distributions:
-        emap = {}
+        m = {}
         for gi, combo in enumerate(chosen):
             for local, slot in enumerate(sorted(combo)):
-                emap[offsets[gi] + local] = ('f', slot)
-        extra = [(('f', i), ('f', j)) for i, j in pr]
-        for t in core.terms:
-            raw = _term_to_raw(t, emap)
-            raw['deltas'].extend(extra)
-            raws.append(raw)
-    return _build(total_rank, raws, core.prefactor)
+                m[offsets[gi] + local] = slot
+        for num, t in zip(nums, core.terms):
+            _relabel_into(acc, num, t, m, pr)
+    return _from_numerators(total_rank, acc, den, core.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -673,22 +718,3 @@ def couple_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
             "odd coupling to rank 0 is impossible (parity): use couple_even")
     _check_triple(A.rank, B.rank, l3, 1)
     return poly_scale(_sum_odd(A, B, l3), odd_norm(A.rank, B.rank, l3))
-
-
-# ---------------------------------------------------------------------------
-# Raw pair-coupling constant (same-argument proportionality)
-# ---------------------------------------------------------------------------
-
-def couple_constant(l1: int, l2: int, l3: int) -> CoeffAtom:
-    """The closed-form constant C relating the standard angular-momentum
-    coupling of two rescaled harmonic tensors to the normalized Cartesian
-    couplings; parity-agnostic."""
-    J = l1 + l2 + l3
-    J1 = J - 2 * l1 - 1
-    J2 = J - 2 * l2 - 1
-    J3 = J - 2 * l3 - 1
-    rad = Fraction(
-        factorial(2 * l1) * factorial(2 * l2) * factorial(2 * l3),
-        factorial(J1 + 1) * factorial(J2 + 1) * factorial(J3 + 1) * factorial(J + 1),
-    )
-    return atom(1, rad * (2 * l3 + 1))

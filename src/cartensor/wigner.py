@@ -68,8 +68,3 @@ def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> Coef
     sign = -1 if (l1 - l2 + m3) % 2 else 1
     return atom_mul(atom(sign), atom_mul(hat(l3), tj))
 
-
-@lru_cache(maxsize=None)
-def cg_float(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
-    """Float Clebsch-Gordan value (for the numeric oracle)."""
-    return float(clebsch_gordan(l1, m1, l2, m2, l3, m3).to_float())

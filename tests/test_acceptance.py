@@ -55,7 +55,6 @@ from cartensor.tensor import (
     TensorPoly,
     TensorTerm,
     contract_slots,
-    couple_constant,
     couple_even,
     couple_odd,
     embed_count,
@@ -67,7 +66,8 @@ from cartensor.tensor import (
     symmetrized_embed,
     vector_power,
 )
-from cartensor.wigner import cg_float
+
+from helpers import cg_float, couple_constant
 
 CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
                   for e in _load_corpus(_default_corpus_path())]

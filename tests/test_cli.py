@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from cartensor import cli, oracle, parser
+from cartensor import cli, oracle, parser, reduce
 from cartensor.cli import main
 from cartensor.oracle import DEFAULT_SEED
 
@@ -81,6 +81,30 @@ class TestReduce:
         assert lines[0] == (f"error: couplings nested deeper than "
                             f"{parser.MAX_NESTING} levels")
         assert lines[2] == "  " + " " * parser.MAX_NESTING + "^"
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+@pytest.mark.parametrize("degree", ["40", "99999999999999999999"])
+def test_huge_leaf_degree_exit_2(capsys, command, degree):
+    """A leaf whose harmonic tensor would not fit is a caret diagnostic, found
+    without expanding anything."""
+    source = f"[Y[1](b) x Y[{degree}](a)][{degree}]"
+    code, out, err = run(capsys, command, source)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == (f"error: harmonic degree {degree} too large: Y[{degree}] "
+                        f"expands to more than {reduce.MAX_LEAF_TERMS} terms")
+    assert lines[2] == "  " + " " * source.index("Y[" + degree) + "^" * len(f"Y[{degree}](a)")
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+@pytest.mark.parametrize("degree", ["40", "99999999999999999999"])
+def test_huge_bare_leaf_exit_2(capsys, command, degree):
+    code, out, err = run(capsys, command, f"Y[{degree}](a)")
+    assert code == 2
+    assert out == ""
+    assert "too large" in err.splitlines()[0]
 
 
 class TestVerify:

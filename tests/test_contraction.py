@@ -1,0 +1,189 @@
+"""The one-pass contraction against the scan-and-fuse reference.
+
+tensor.contract_slots walks each bond chain once over per-term slot tables
+and keeps int numerators; reference_contraction fuses one bond at a time with
+Fraction coefficients.  Both must give the same canonical TensorPoly, term for
+term, on random small tensors and on the chain shapes that are easy to get
+wrong: closed delta loops through both factors, an epsilon chained back to
+itself, and two epsilon-like factors.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cartensor import tensor
+from cartensor.coeff import ATOM_ONE, atom
+from cartensor.tensor import (TensorPoly, TensorTerm, contract_slots,
+                              full_contract, poly_permute_slots, scalar_poly)
+
+from reference_contraction import _build, _term_to_raw, reference_contract_slots
+
+SYMBOLS = ('a', 'b', 'c', 'd')
+EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
+
+
+def _poly(rank, *terms):
+    """A canonical poly from terms given as (coeff, vecs, deltas, epses, dots)
+    in the reference's raw form over free slots, built by the reference."""
+    raws = [{'coeff': Fraction(c), 'vecs': [(s, ('f', i)) for s, i in vecs],
+             'deltas': [(('f', i), ('f', j)) for i, j in deltas],
+             'epses': [tuple(('f', e) if isinstance(e, int) else ('s', e) for e in ep)
+                       for ep in epses],
+             'dots': dict(dots)}
+            for c, vecs, deltas, epses, dots in terms]
+    return _build(rank, raws)
+
+
+@st.composite
+def _raw_terms(draw, rank):
+    """A raw term on `rank` free slots: a random mix of deltas, at most one
+    epsilon (free and symbol entries, or all symbols: a box) and vectors,
+    times dots."""
+    slots = draw(st.permutations(range(rank)))
+    n_eps = draw(st.integers(0, min(3, rank)))
+    eps_slots, rest = list(slots[:n_eps]), list(slots[n_eps:])
+    epses = []
+    if n_eps or draw(st.booleans()):
+        entries = [('f', i) for i in eps_slots]
+        entries += [('s', draw(st.sampled_from(SYMBOLS))) for _ in range(3 - n_eps)]
+        epses.append(tuple(draw(st.permutations(entries))))
+    n_delta = draw(st.integers(0, len(rest) // 2))
+    deltas = [(('f', rest[2 * k]), ('f', rest[2 * k + 1])) for k in range(n_delta)]
+    vecs = [(draw(st.sampled_from(SYMBOLS)), ('f', i)) for i in rest[2 * n_delta:]]
+    dots = {}
+    for s1, s2 in draw(st.lists(st.tuples(st.sampled_from(SYMBOLS),
+                                          st.sampled_from(SYMBOLS)), max_size=2)):
+        if s1 != s2:
+            key = (min(s1, s2), max(s1, s2))
+            dots[key] = dots.get(key, 0) + 1
+    coeff = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
+    return {'coeff': coeff, 'vecs': vecs, 'deltas': deltas, 'epses': epses, 'dots': dots}
+
+
+_prefactors = st.sampled_from([ATOM_ONE, atom(1, 2), atom(1, 3, 0, 1), atom(1, 1, -1)])
+
+
+@st.composite
+def _polys(draw):
+    rank = draw(st.integers(0, 4))
+    raws = draw(st.lists(_raw_terms(rank), min_size=1, max_size=3))
+    return _build(rank, raws, draw(_prefactors))
+
+
+@st.composite
+def _contractions(draw):
+    p1, p2 = draw(_polys()), draw(_polys())
+    k = draw(st.integers(0, min(p1.rank, p2.rank)))
+    s1 = draw(st.permutations(range(p1.rank)))[:k]
+    s2 = draw(st.permutations(range(p2.rank)))[:k]
+    return p1, p2, list(zip(s1, s2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_contractions())
+def test_contract_slots_matches_reference(case):
+    p1, p2, pairs = case
+    assert contract_slots(p1, p2, pairs) == reference_contract_slots(p1, p2, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_polys(), data=st.data())
+def test_permute_slots_matches_reference(p, data):
+    perm = data.draw(st.permutations(range(p.rank)))
+    emap = {i: ('f', perm[i]) for i in range(p.rank)}
+    expect = _build(p.rank, [_term_to_raw(t, emap) for t in p.terms], p.prefactor)
+    assert poly_permute_slots(p, perm) == expect
+
+
+def _check(p1, p2, pairs, value):
+    """contract_slots equals the reference and the rank-0 constant value."""
+    got = contract_slots(p1, p2, pairs)
+    assert got == reference_contract_slots(p1, p2, pairs)
+    assert got == scalar_poly(value)
+
+
+@pytest.mark.parametrize("d1,d2", [
+    (((0, 1),), ((0, 1),)),
+    (((0, 1), (2, 3)), ((1, 2), (0, 3))),
+    (((0, 1), (2, 3), (4, 5)), ((1, 2), (3, 4), (0, 5))),
+], ids=["length1", "length2", "length3"])
+def test_closed_delta_loop_through_both_factors(d1, d2):
+    """Deltas that alternate between the factors close into one loop: a
+    trace, factor 3, whatever the loop's length."""
+    rank = 2 * len(d1)
+    a = _poly(rank, (Fraction(2, 3), (), d1, (), ()))
+    b = _poly(rank, (Fraction(5), (), d2, (), ()))
+    _check(a, b, [(i, i) for i in range(rank)], Fraction(10))
+
+
+def test_two_loops_and_a_dot():
+    a = _poly(4, (1, (), ((0, 1), (2, 3)), (), ()))
+    b = _poly(4, (1, (), ((0, 1), (2, 3)), (), ()))
+    _check(a, b, [(i, i) for i in range(4)], 9)
+    va = _poly(3, (1, (('a', 0),), ((1, 2),), (), ()))
+    vb = _poly(3, (1, (('b', 1),), ((0, 2),), (), ()))
+    got = contract_slots(va, vb, [(0, 0), (1, 1), (2, 2)])
+    assert got == reference_contract_slots(va, vb, [(0, 0), (1, 1), (2, 2)])
+    assert got.terms == (TensorTerm(Fraction(1), dots=(('a', 'b', 1),)),)
+
+
+def test_epsilon_squared_is_six():
+    _check(EPS3, EPS3, [(0, 0), (1, 1), (2, 2)], 6)
+    assert full_contract(EPS3, EPS3) == scalar_poly(6)
+
+
+def test_epsilon_chained_to_itself_vanishes():
+    """eps_ijk delta_ij = 0, directly and through a chain of three deltas that
+    runs through both factors."""
+    delta = _poly(2, (1, (), ((0, 1),), (), ()))
+    got = contract_slots(EPS3, delta, [(0, 0), (1, 1)])
+    assert got == reference_contract_slots(EPS3, delta, [(0, 0), (1, 1)])
+    assert got == TensorPoly(1)
+    a = _poly(4, (1, (), ((2, 3),), ((0, 1, 'a'),), ()))
+    b = _poly(4, (1, (), ((0, 2), (1, 3)), (), ()))
+    pairs = [(i, i) for i in range(4)]
+    got = contract_slots(a, b, pairs)
+    assert got == reference_contract_slots(a, b, pairs)
+    assert got == TensorPoly(0)
+
+
+def test_box_times_box_is_gram_determinant():
+    """box(a,b,c) box(d,e,f) = det of the 3x3 matrix of dots: six terms."""
+    b1 = _poly(0, (1, (), (), (('a', 'b', 'c'),), ()))
+    b2 = _poly(0, (1, (), (), (('d', 'e', 'f'),), ()))
+    got = contract_slots(b1, b2, [])
+    assert got == reference_contract_slots(b1, b2, [])
+    assert len(got.terms) == 6
+    diag = TensorTerm(Fraction(1), dots=(('a', 'd', 1), ('b', 'e', 1), ('c', 'f', 1)))
+    assert diag in got.terms
+
+
+def test_duplicate_slot_rejected():
+    with pytest.raises(ValueError):
+        contract_slots(EPS3, EPS3, [(0, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        contract_slots(EPS3, EPS3, [(0, 0), (1, 0)])
+
+
+def test_slot_out_of_range_rejected():
+    with pytest.raises(ValueError):
+        contract_slots(EPS3, EPS3, [(3, 0)])
+    with pytest.raises(ValueError):
+        contract_slots(EPS3, EPS3, [(-1, 0)])
+
+
+def test_two_epsilon_like_factors_in_one_term_rejected():
+    bad = TensorPoly(1, (TensorTerm(Fraction(1), epses=((('f', 0), ('s', 'a'), ('s', 'b')),),
+                                    boxes=(('c', 'd', 'e'),)),))
+    with pytest.raises(AssertionError, match="multiple epsilon-like"):
+        contract_slots(bad, scalar_poly(), [])
+    with pytest.raises(AssertionError, match="multiple epsilon-like"):
+        poly_permute_slots(bad, [0])
+
+
+def test_unresolved_bond_rejected_at_freeze():
+    with pytest.raises(AssertionError, match="unresolved bond"):
+        tensor._freeze_into({}, 1, [], [], (), [[('f', 0), ('b', 0), ('s', 'a')]])

@@ -22,8 +22,10 @@ from cartensor.reduce import (
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import (contract, cross_vector, harmonic_tensor, poly_scale,
-                              poly_sub, traceless_contract)
+from cartensor.tensor import (contract, harmonic_tensor, poly_scale, poly_sub,
+                              traceless_contract)
+
+from helpers import cross_vector
 
 
 def _exact(a, rat, radicand=1, pi_half=0):

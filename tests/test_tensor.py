@@ -18,10 +18,8 @@ from cartensor.tensor import (
     TensorTerm,
     contract,
     contract_slots,
-    couple_constant,
     couple_even,
     couple_odd,
-    cross_vector,
     embed_count,
     full_contract,
     harmonic_tensor,
@@ -36,6 +34,8 @@ from cartensor.tensor import (
     symmetrized_embed,
     vector_power,
 )
+
+from helpers import couple_constant, cross_vector
 
 DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
 

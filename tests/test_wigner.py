@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from cartensor.coeff import CoeffSum, SUM_ONE, SUM_ZERO, atom, atom_canonical
-from cartensor.wigner import cg_float, clebsch_gordan, three_j, triangle_ok
+from cartensor.wigner import clebsch_gordan, three_j, triangle_ok
+
+from helpers import cg_float
 
 
 def _exact(a, rat, radicand=1):
