@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -34,10 +35,17 @@ def _default_corpus_path():
     return resources.files("cartensor").joinpath("data", "appendix.jsonl")
 
 
-def positive_int(text: str) -> int:
+# The oracle holds every sample's vectors and values at once, so the sample
+# count bounds its memory.
+MAX_SAMPLES = 10_000
+
+
+def sample_count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {value}")
     return value
 
 
@@ -48,10 +56,12 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def positive_float(text: str) -> float:
+def positive_finite_float(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 
@@ -175,8 +185,12 @@ def cmd_corpus(args) -> int:
                       file=sys.stderr)
                 return 1
             lines.append(json.dumps(dict(entry, expected=result_to_obj(result))))
-        with open(str(path), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(str(path), "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as e:
+            print(f"error: cannot write corpus file: {e}", file=sys.stderr)
+            return 2
         print(f"wrote {len(lines)} entries to {path}")
         return 0
 
@@ -229,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="compare the reduction against the "
                                           "numeric oracle")
     p_ver.add_argument("expr")
-    p_ver.add_argument("--samples", type=positive_int, default=200)
-    p_ver.add_argument("--tol", type=positive_float, default=1e-10)
+    p_ver.add_argument("--samples", type=sample_count, default=200)
+    p_ver.add_argument("--tol", type=positive_finite_float, default=1e-10)
     p_ver.add_argument("--seed", type=non_negative_int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -245,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "any entry fails the oracle)")
     p_cor.add_argument("--file", default=None,
                        help="alternate corpus file (default: bundled)")
-    p_cor.add_argument("--samples", type=positive_int, default=200)
-    p_cor.add_argument("--tol", type=positive_float, default=1e-10)
+    p_cor.add_argument("--samples", type=sample_count, default=200)
+    p_cor.add_argument("--tol", type=positive_finite_float, default=1e-10)
     p_cor.add_argument("--seed", type=non_negative_int, default=None)
     p_cor.set_defaults(func=cmd_corpus)
     return ap

@@ -31,8 +31,8 @@ from typing import Optional, Union
 
 from .coeff import CoeffAtom, atom, atom_mul, double_factorial, factorial
 from .wigner import three_j, triangle_ok
-from .tensor import (TensorPoly, couple_even, couple_odd, harmonic_tensor,
-                     poly_scale, traceless_contract)
+from .tensor import (TensorPoly, _jays, couple_even, couple_odd,
+                     harmonic_tensor, poly_scale, traceless_contract)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +141,6 @@ def _abs_atom(a: CoeffAtom) -> CoeffAtom:
 def _hat2_over_sqrt4pi(l1: int, l2: int) -> CoeffAtom:
     # sqrt((2l1+1)(2l2+1)) / sqrt(4 pi)
     return atom(Fraction(1, 2), Fraction((2 * l1 + 1) * (2 * l2 + 1)), -1)
-
-
-def _jays(l1: int, l2: int, l3: int) -> tuple[int, int, int, int]:
-    J = l1 + l2 + l3
-    return J, J - 2 * l1 - 1, J - 2 * l2 - 1, J - 2 * l3 - 1
 
 
 @lru_cache(maxsize=None)

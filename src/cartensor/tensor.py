@@ -39,10 +39,11 @@ before side 2's, and the identity eliminates the first two.  Both are fixed:
 where an elimination leaves an epsilon, another order leaves a different one,
 an equal value with different canonical terms and so different output bytes.
 
-During a contraction, embedding or relabelling, coefficients are int
-numerators over one denominator per call (for a product, the lcm of each
-side's denominators, multiplied); a term's numerators are summed by monomial
-and each output term gets one Fraction.  Bond-free relabellings
+During a contraction, embedding, relabelling or linear combination,
+coefficients are int numerators over one denominator per call (for a product,
+the lcm of each side's denominators, multiplied; for a combination, the lcm
+over its pieces); a term's numerators are summed by monomial and each output
+term gets one Fraction.  Bond-free relabellings
 (symmetrized_embed, poly_permute_slots) go straight to the canonical form.
 
 The prefactor is a canonical atom with rat == 1 (ATOM_ONE for the zero
@@ -59,6 +60,10 @@ The three higher-level constructions are:
   * couple_odd(A, B, l3): the epsilon-bearing counterpart for odd l1+l2-l3,
     normalized so the same-argument slope matches the cross-product convention
     (for (2,2,1): (a.b)(a x b)).
+Both couplings are one sum over r of the contraction of A and B on k+r slot
+pairs (for odd parity with an epsilon hooked to one free slot of each),
+symmetrized with r deltas; both normalizations, kappa_even and odd_norm, are
+closed-form factorial ratios in J = l1+l2+l3 and Ji = J-2li-1.
 
 Wherever both factors of a contraction are symmetric traceless (the children
 of a coupling node), traceless_contract prunes before the product loop: a term
@@ -127,36 +132,10 @@ class TensorPoly:
         p = self.prefactor
         return CoeffAtom(t.coeff, p.radicand, p.pi_half, p.i_pow)
 
-    def symbols(self) -> tuple:
-        syms = set()
-        for t in self.terms:
-            syms.update(s for s, _ in t.vecs)
-            for s1, s2, _ in t.dots:
-                syms.update((s1, s2))
-            for b in t.boxes:
-                syms.update(b)
-            for e in t.epses:
-                syms.update(x[1] for x in e if x[0] == 's')
-        return tuple(sorted(syms))
-
 
 def _shape(a: CoeffAtom) -> CoeffAtom:
     """The canonical atom a with its rational part replaced by 1."""
     return CoeffAtom(Fraction(1), a.radicand, a.pi_half, a.i_pow)
-
-
-def _merge_terms(rank: int, terms, factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """factor * (terms, summed by monomial); factor is a canonical atom."""
-    acc: dict = {}
-    for t in terms:
-        k = t.key
-        acc[k] = acc[k] + t.coeff if k in acc else t.coeff
-    rat = factor.rat
-    out = tuple([TensorTerm(c * rat if rat != 1 else c, *k)
-                 for k, c in sorted(acc.items()) if c])
-    if not out:
-        return TensorPoly(rank)
-    return TensorPoly(rank, out, _shape(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +321,35 @@ def vector_power(v, l: int) -> TensorPoly:
     return TensorPoly(l, (TensorTerm(Fraction(1), vecs),))
 
 
+def _combine(rank: int, pieces, scale=1) -> TensorPoly:
+    """scale * the sum of w * p over the (w, p) in pieces, for rationals w and
+    scale and TensorPolys p of the given rank whose nonzero ones share a
+    prefactor.
+
+    One pass: every term's numerator over one common denominator, summed by
+    monomial, and one Fraction per output term."""
+    pieces = [(Fraction(w), p) for w, p in pieces if w and p.terms]
+    if not pieces:
+        return TensorPoly(rank)
+    pf = pieces[0][1].prefactor
+    if any(p.prefactor != pf for _, p in pieces):
+        raise ValueError("cannot add polynomials with different prefactor shapes")
+    parts = [(w, *_numerators(p.terms), p.terms) for w, p in pieces]
+    den = math.lcm(*[w.denominator * d for w, d, _, _ in parts])
+    acc: dict = {}
+    for w, d, nums, terms in parts:
+        m = w.numerator * (den // (w.denominator * d))
+        for num, t in zip(nums, terms):
+            k = t.key
+            acc[k] = acc.get(k, 0) + m * num
+    return _from_numerators(rank, acc, den,
+                            CoeffAtom(scale, pf.radicand, pf.pi_half, pf.i_pow))
+
+
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     if p1.rank != p2.rank:
         raise ValueError(f"rank mismatch {p1.rank} vs {p2.rank}")
-    if p1.terms and p2.terms and p1.prefactor != p2.prefactor:
-        raise ValueError("cannot add polynomials with different prefactor shapes")
-    return _merge_terms(p1.rank, p1.terms + p2.terms,
-                        p1.prefactor if p1.terms else p2.prefactor)
+    return _combine(p1.rank, [(1, p1), (1, p2)])
 
 
 def poly_neg(p: TensorPoly) -> TensorPoly:
@@ -605,14 +606,10 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
 
 @lru_cache(maxsize=None)
 def _harmonic_cached(name: str, l: int) -> TensorPoly:
-    if l == 0:
-        return scalar_poly()
-    poly = TensorPoly(l, ())
-    for r in range(l // 2 + 1):
-        c = Fraction((-1) ** r * double_factorial(2 * l - 2 * r - 1), factorial(l))
-        piece = symmetrized_embed(vector_power(name, l - 2 * r), [l - 2 * r], r, l)
-        poly = poly_add(poly, poly_scale(piece, c))
-    return poly
+    return _combine(l, [
+        (Fraction((-1) ** r * double_factorial(2 * l - 2 * r - 1), factorial(l)),
+         symmetrized_embed(vector_power(name, l - 2 * r), [l - 2 * r], r, l))
+        for r in range(l // 2 + 1)])
 
 
 def harmonic_tensor(v, l: int) -> TensorPoly:
@@ -638,13 +635,16 @@ def _check_triple(l1: int, l2: int, l3: int, want_parity: int) -> None:
             f"ranks ({l1},{l2})->{l3} have the wrong parity for an {kind} coupling")
 
 
+def _jays(l1: int, l2: int, l3: int) -> tuple[int, int, int, int]:
+    """J = l1+l2+l3 and Ji = J-2li-1, the integers of the closed forms."""
+    J = l1 + l2 + l3
+    return J, J - 2 * l1 - 1, J - 2 * l2 - 1, J - 2 * l3 - 1
+
+
 def kappa_even(l1: int, l2: int, l3: int) -> Fraction:
     """Normalization for couple_even: couple of harmonic(a,l1), harmonic(a,l2)
     equals harmonic(a,l3) exactly."""
-    J = l1 + l2 + l3
-    J1 = J - 2 * l1 - 1
-    J2 = J - 2 * l2 - 1
-    J3 = J - 2 * l3 - 1
+    J, J1, J2, J3 = _jays(l1, l2, l3)
     return Fraction(
         factorial(l3) * double_factorial(J1) * double_factorial(J2)
         * double_factorial(J3) * factorial(J // 2),
@@ -653,62 +653,47 @@ def kappa_even(l1: int, l2: int, l3: int) -> Fraction:
     )
 
 
-def _sum_even(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
-    l1, l2 = A.rank, B.rank
-    k = (l1 + l2 - l3) // 2
-    total = TensorPoly(l3, ())
-    for r in range(min(l1 - k, l2 - k) + 1):
-        c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
-                     double_factorial(2 * l3 - 1))
-        core = traceless_contract(A, B, k + r)
-        piece = symmetrized_embed(core, [l1 - k - r, l2 - k - r], r, l3)
-        total = poly_add(total, poly_scale(piece, c))
-    return total
-
-
-def couple_even(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
-    """Even-parity coupling of symmetric traceless tensors to rank l3."""
-    _check_triple(A.rank, B.rank, l3, 0)
-    return poly_scale(_sum_even(A, B, l3), 1 / kappa_even(A.rank, B.rank, l3))
+def odd_norm(l1: int, l2: int, l3: int) -> Fraction:
+    """Normalization N for couple_odd, for an odd triple (J odd, so every Ji is
+    even): contracting the coupling of harmonic(a,l1), harmonic(b,l2) with
+    a x ... x a (l3-1 factors) gives +w * (polynomial in a.b) * (a x b) with
+    w(a.b=1) = 1, the orientation of the cross product."""
+    J, J1, J2, J3 = _jays(l1, l2, l3)
+    return Fraction(
+        2 * l3 * double_factorial(2 * l3 - 1) * factorial(J1 // 2)
+        * factorial(J2 // 2) * factorial(l1) * factorial(l2),
+        factorial(l3) * double_factorial(J1 + 1) * double_factorial(J2 + 1)
+        * double_factorial(J3 + 1) * factorial((J + 1) // 2),
+    )
 
 
 _EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
 
 
-def _sum_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
+def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
+                  norm: Fraction) -> TensorPoly:
+    """norm * sum over r of the rank-l3 pieces of A and B for the given
+    parity of l1+l2-l3: A and B contracted on k+r slot pairs, for odd parity
+    an epsilon hooked to one free slot of each, then r deltas symmetrized in."""
     l1, l2 = A.rank, B.rank
-    kp = (l1 + l2 - l3 - 1) // 2
-    total = TensorPoly(l3, ())
-    for r in range(min(l1 - kp - 1, l2 - kp - 1) + 1):
+    k = (l1 + l2 - l3 - parity) // 2
+    pieces = []
+    for r in range(min(l1, l2) - k - parity + 1):
+        core = traceless_contract(A, B, k + r)
+        g1, g2 = l1 - k - r - parity, l2 - k - r - parity
+        if parity:
+            # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
+            core = contract_slots(_EPS3, core, [(1, g1), (2, g1 + 1)])
         c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
                      double_factorial(2 * l3 - 1))
-        D = traceless_contract(A, B, kp + r)
-        gA = l1 - kp - r - 1
-        gB = l2 - kp - r - 1
-        # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
-        E = contract_slots(_EPS3, D, [(1, gA), (2, gA + 1)])
-        piece = symmetrized_embed(E, [1, gA, gB], r, l3)
-        total = poly_add(total, poly_scale(piece, c))
-    return total
+        pieces.append((c, symmetrized_embed(core, [1] * parity + [g1, g2], r, l3)))
+    return _combine(l3, pieces, norm)
 
 
-@lru_cache(maxsize=None)
-def odd_norm(l1: int, l2: int, l3: int) -> Fraction:
-    """Normalization N for couple_odd, fixed on the harmonic-tensor instance:
-    contracting the raw odd sum of harmonic(a,l1), harmonic(b,l2) with
-    a x ... x a (l3-1 factors) must give +w * (polynomial in a.b) * (a x b)
-    with w(a.b=1) = 1.  The orientation requirement w(1) > 0 pins the sign."""
-    T = _sum_odd(harmonic_tensor('a', l1), harmonic_tensor('b', l2), l3)
-    W = contract(T, vector_power('a', l3 - 1), l3 - 1)
-    for t in W.terms:
-        if t.epses != ((('f', 0), ('s', 'a'), ('s', 'b')),) or t.deltas or t.vecs or t.boxes:
-            raise AssertionError("odd coupling probe has unexpected structure")
-    if W.prefactor != ATOM_ONE:
-        raise AssertionError("odd coupling probe coefficient not rational")
-    w1 = sum(t.coeff for t in W.terms)
-    if w1 <= 0:
-        raise AssertionError(f"odd coupling orientation factor w(1)={w1} <= 0")
-    return 1 / w1
+def couple_even(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
+    """Even-parity coupling of symmetric traceless tensors to rank l3."""
+    _check_triple(A.rank, B.rank, l3, 0)
+    return _coupling_sum(A, B, l3, 0, 1 / kappa_even(A.rank, B.rank, l3))
 
 
 def couple_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
@@ -717,4 +702,4 @@ def couple_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
         raise ValueError(
             "odd coupling to rank 0 is impossible (parity): use couple_even")
     _check_triple(A.rank, B.rank, l3, 1)
-    return poly_scale(_sum_odd(A, B, l3), odd_norm(A.rank, B.rank, l3))
+    return _coupling_sum(A, B, l3, 1, odd_norm(A.rank, B.rank, l3))

@@ -1,11 +1,14 @@
 """Constructions that only the tests use: a cross product, the closed-form
-pair-coupling constant and float Clebsch-Gordan values."""
+pair-coupling constant, the odd-coupling normalization found by probing and
+float Clebsch-Gordan values."""
 
 from fractions import Fraction
 from functools import lru_cache
 
-from cartensor.coeff import CoeffAtom, atom, factorial
-from cartensor.tensor import TensorPoly, TensorTerm
+from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, double_factorial, factorial
+from cartensor.tensor import (TensorPoly, TensorTerm, contract, contract_slots,
+                              harmonic_tensor, poly_add, poly_scale,
+                              symmetrized_embed, traceless_contract, vector_power)
 from cartensor.wigner import clebsch_gordan
 
 
@@ -31,6 +34,40 @@ def couple_constant(l1: int, l2: int, l3: int) -> CoeffAtom:
         factorial(J1 + 1) * factorial(J2 + 1) * factorial(J3 + 1) * factorial(J + 1),
     )
     return atom(1, rad * (2 * l3 + 1))
+
+
+_EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
+
+
+def odd_norm_probe(l1: int, l2: int, l3: int) -> Fraction:
+    """The normalization N of couple_odd, found on the harmonic-tensor
+    instance rather than from its closed form.
+
+    Builds the raw odd coupling sum of harmonic(a,l1), harmonic(b,l2) at unit
+    normalization and contracts it with a x ... x a (l3-1 factors).  That must
+    give w * (polynomial in a.b) * (a x b); N = 1/w(a.b=1), and the orientation
+    requirement w(1) > 0 pins the sign."""
+    A, B = harmonic_tensor('a', l1), harmonic_tensor('b', l2)
+    k = (l1 + l2 - l3 - 1) // 2
+    T = TensorPoly(l3)
+    for r in range(min(l1, l2) - k):
+        c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
+                     double_factorial(2 * l3 - 1))
+        D = traceless_contract(A, B, k + r)
+        gA, gB = l1 - k - r - 1, l2 - k - r - 1
+        # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
+        E = contract_slots(_EPS3, D, [(1, gA), (2, gA + 1)])
+        T = poly_add(T, poly_scale(symmetrized_embed(E, [1, gA, gB], r, l3), c))
+    W = contract(T, vector_power('a', l3 - 1), l3 - 1)
+    for t in W.terms:
+        if t.epses != ((('f', 0), ('s', 'a'), ('s', 'b')),) or t.deltas or t.vecs or t.boxes:
+            raise AssertionError("odd coupling probe has unexpected structure")
+    if W.prefactor != ATOM_ONE:
+        raise AssertionError("odd coupling probe coefficient not rational")
+    w1 = sum(t.coeff for t in W.terms)
+    if w1 <= 0:
+        raise AssertionError(f"odd coupling orientation factor w(1)={w1} <= 0")
+    return 1 / w1
 
 
 @lru_cache(maxsize=None)

@@ -293,6 +293,14 @@ class TestCorpus:
         assert code == 2
         assert "cannot read corpus file" in err
 
+    def test_unwritable_regen_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "corpus", "--regen", "--samples", "5",
+                             "--file", str(tmp_path / "no-such-dir" / "x.jsonl"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write corpus file: ")
+        assert "Traceback" not in err
+
 
 class TestUsage:
     def test_no_subcommand_exit_2(self, capsys):
@@ -307,7 +315,10 @@ class TestUsage:
     @pytest.mark.parametrize("flag,value,message", [
         ("--samples", "0", "must be at least 1"),
         ("--samples", "-3", "must be at least 1"),
+        ("--samples", "100000000000", "must be at most 10000"),
         ("--tol", "0", "must be greater than 0"),
+        ("--tol", "nan", "must be greater than 0"),
+        ("--tol", "inf", "must be finite"),
     ])
     def test_bad_numeric_flag_exit_2(self, capsys, command, flag, value,
                                      message):

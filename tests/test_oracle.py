@@ -474,9 +474,12 @@ def test_high_degree_verify():
     "[Y[7](a) x Y[7](b)][1]",
     "[Y[7](a) x Y[8](b)][1]",
     "[Y[8](a) x Y[8](b)][0]",
+    "[Y[3](a) x Y[4](b)][6]",
+    "[Y[2](a) x Y[5](b)][6]",
 ])
 def test_high_degree_pairs_verify(text):
     """Pairs that built every product of two expanded rank-7/8 harmonic tensors
-    before the contraction pruned the terms that meet a trace."""
+    before the contraction pruned the terms that meet a trace, and odd
+    couplings to rank 6, which check odd_norm's closed form at high rank."""
     rep = verify(text, n_samples=50, tol=1e-10)
     assert rep.passed, rep.to_json()

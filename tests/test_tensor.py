@@ -35,7 +35,7 @@ from cartensor.tensor import (
     vector_power,
 )
 
-from helpers import couple_constant, cross_vector
+from helpers import couple_constant, cross_vector, odd_norm_probe
 
 DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
 
@@ -341,11 +341,23 @@ class TestEvenCoupling:
             couple_even(harmonic_tensor('a', 1), harmonic_tensor('b', 1), 4)
 
 
+ODD_TRIPLES = [(l1, l2, l3) for l1 in range(1, 9) for l2 in range(l1, 9)
+               for l3 in range(1, 4)
+               if abs(l1 - l2) <= l3 <= l1 + l2 and (l1 + l2 + l3) % 2]
+
+
 class TestOddCoupling:
     def test_norm_values(self):
         assert odd_norm(1, 1, 1) == Fraction(1)
         assert odd_norm(2, 2, 1) == Fraction(4, 9)
         assert odd_norm(1, 2, 2) == Fraction(2, 3)
+        assert [odd_norm(l, l, 1) for l in range(5, 9)] == [
+            Fraction(8, 189), Fraction(32, 1617), Fraction(4, 429),
+            Fraction(256, 57915)]
+
+    @pytest.mark.parametrize("l1,l2,l3", ODD_TRIPLES)
+    def test_norm_closed_form_matches_probe(self, l1, l2, l3):
+        assert odd_norm(l1, l2, l3) == odd_norm_probe(l1, l2, l3)
 
     def test_pair_of_vectors_gives_cross(self):
         p = couple_odd(harmonic_tensor('a', 1), harmonic_tensor('b', 1), 1)
