@@ -6,12 +6,18 @@ sums) and compares them against the reduced Cartesian polynomials, bridging
 rank-L output through the unitary component map when needed.
 
 What the oracle shares with the symbolic engine is the parser, the
-CouplingExpr tree and the TensorPoly data it is asked to check; each term's
-exact coefficient is read as one atom (TensorPoly.term_atom, then
-CoeffAtom.to_complex).  It shares no algebra: spherical values come from
-floating-point recurrences, and its Clebsch-Gordan coefficients from
-diagonalising the total J^2 in the product basis (``cg``), never from the
-engine's Racah sum or its coefficients.
+CouplingExpr tree and the TensorPoly data it is asked to check; a
+polynomial's exact prefactor is read once (CoeffAtom.to_complex) and each
+term's rational coefficient as a float.  It shares no algebra: spherical
+values come from floating-point recurrences, and its Clebsch-Gordan
+coefficients from diagonalising the total J^2 in the product basis (``cg``),
+never from the engine's Racah sum or its coefficients.
+
+Terms that share a tensor structure are evaluated as one block.  For a
+rank-L root verify projects each delta-free block onto the 2L+1 spherical
+components through the bridge ``u_matrix(L)``, so it never builds the rank-L
+tensor at every sample; the rows of U are symmetric and traceless, so a term
+with a Kronecker delta projects to zero and is skipped.
 """
 
 from __future__ import annotations
@@ -213,28 +219,38 @@ def _det_rows(w1, w2, w3):
 
 @lru_cache(maxsize=None)
 def _delta_view(rank: int, deltas: tuple) -> tuple:
-    """(axes, n_axes, subscripts) of the diagonal view a term's deltas select.
+    """How a term's deltas lay out its slots; cached per (rank, deltas).
 
-    Canonical deltas are disjoint pairs (i, j) with i < j; the two slots of a
-    delta share one axis of the view.  axes[slot] is that axis, and the
-    einsum subscripts take the view from a (3,)*rank + (n,) output.
+    Canonical deltas are disjoint pairs (i, j) with i < j, and every other
+    slot carries a vector or an epsilon entry.  Returns
+      * block: each slot's axis in the term's block, which has one axis per
+        slot outside the deltas, in slot order; None for a delta slot;
+      * view, shape: einsum subscripts that take the diagonal view the deltas
+        select from a (3,)*rank + (n,) output, and the block's shape in that
+        view (size 1 on the axis a delta pair shares).
     """
     rep = list(range(rank))
     for i, j in deltas:
         rep[j] = i
     order = sorted(set(rep))
-    axes = tuple(order.index(r) for r in rep)
-    sub = "".join(_AXES[a] for a in axes) + "z->" + _AXES[:len(order)] + "z"
-    return axes, len(order), sub
+    axes = [order.index(r) for r in rep]
+    paired = {axes[i] for pair in deltas for i in pair}
+    kept = [a for a in range(len(order)) if a not in paired]
+    block = tuple(None if axes[slot] in paired else kept.index(axes[slot])
+                  for slot in range(rank))
+    view = "".join(_AXES[a] for a in axes) + "z->" + _AXES[:len(order)] + "z"
+    shape = tuple(1 if a in paired else 3 for a in range(len(order)))
+    return block, view, shape
 
 
-def _eps_factor(eps: tuple, axes: tuple, n_axes: int, cols: dict) -> np.ndarray:
+def _eps_factor(eps: tuple, n_axes: int, cols: dict) -> np.ndarray:
     """The Levi-Civita tensor contracted with the symbol entries of eps, with
-    each free entry on its slot's axis, broadcastable against the view."""
+    each free entry ('f', a) on axis a of a block of n_axes axes, broadcastable
+    against (3,)*n_axes + (n,)."""
     ops, subs, free = [_LEVI], ["abc"], []
     for c, (kind, x) in zip("abc", eps):
         if kind == 'f':
-            free.append((axes[x], c))
+            free.append((x, c))
         else:
             ops.append(cols[x])
             subs.append(c + "z")
@@ -249,41 +265,95 @@ def _eps_factor(eps: tuple, axes: tuple, n_axes: int, cols: dict) -> np.ndarray:
     return block.reshape(shape)
 
 
-def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int) -> np.ndarray:
-    """Evaluate at n configurations; shape (3,)*rank + (n,), real when the
-    imaginary part is negligible.
-
-    Each term is one broadcast product added into the diagonal view of the
-    output that its deltas select: the scalar part (coefficient, dot powers,
-    boxes), a (3, n) column block per vector factor, and the epsilon
-    contracted with its symbol vectors.  Dot powers and boxes are computed once
-    per call and shared across terms.
-    """
-    L = poly.rank
-    coeffs = [poly.term_atom(t).to_complex() for t in poly.terms]
-    cplx = any(c.imag for c in coeffs)
-    out = np.zeros((3,) * L + (n,), dtype=complex if cplx else float)
-    cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}
-    dots, boxes = {}, {}
-    for t, c in zip(poly.terms, coeffs):
-        prod = np.full(n, c if cplx else c.real)
+def _scalar_part(terms, vecs: dict, n: int, dots: dict, boxes: dict) -> np.ndarray:
+    """The sum over terms of rational coefficient x dot powers x boxes, (n,).
+    Each dot power and box is evaluated once into dots and boxes, which the
+    caller shares across the structures of one polynomial."""
+    total = np.zeros(n)
+    for t in terms:
+        value = float(t.coeff)
         for d in t.dots:
             if d not in dots:
                 dots[d] = np.sum(vecs[d[0]] * vecs[d[1]], axis=1) ** d[2]
-            prod = prod * dots[d]
+            value = value * dots[d]
         for b in t.boxes:
             if b not in boxes:
                 boxes[b] = _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
-            prod = prod * boxes[b]
-        axes, n_axes, sub = _delta_view(L, t.deltas)
-        for s, slot in t.vecs:
-            prod = prod * cols[s].reshape((3,) + (1,) * (n_axes - 1 - axes[slot])
-                                          + (n,))
-        for e in t.epses:
-            prod = prod * _eps_factor(e, axes, n_axes, cols)
-        view = np.einsum(sub, out) if t.deltas else out
-        view += prod
-    if cplx and np.max(np.abs(out.imag)) < 1e-12 * (1.0 + np.max(np.abs(out.real))):
+            value = value * boxes[b]
+        total += value
+    return total
+
+
+def _block(vec_axes: tuple, epses: tuple, p: int, cols: dict, n: int) -> np.ndarray:
+    """The product of a structure's vector and epsilon factors over its p
+    block axes, as a (3**p, n) matrix."""
+    prod = np.ones(n)
+    for s, a in vec_axes:
+        prod = prod * cols[s].reshape((3,) + (1,) * (p - 1 - a) + (n,))
+    for e in epses:
+        prod = prod * _eps_factor(e, p, cols)
+    return np.broadcast_to(prod, (3,) * p + (n,)).reshape(3 ** p, n)
+
+
+def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int,
+                    bridge: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate at n configurations.
+
+    With bridge None the result is the full tensor, shape (3,)*rank + (n,),
+    real when the imaginary part is negligible.  With a (rows, 3**rank)
+    bridge whose rows are traceless over every slot pair, such as
+    u_matrix(rank), it is bridge @ (the tensor reshaped to (3**rank, n)),
+    shape (rows, n), and the tensor is never built.  Such a bridge maps every
+    term with a Kronecker delta to zero, so those terms are skipped; for any
+    other bridge the result leaves them out.
+
+    Terms that share a tensor structure (vecs, deltas, epses) are evaluated
+    together: their scalar parts are summed first, then the structure's
+    vector and epsilon factors form one block over its slots outside the
+    deltas, built once for all structures that lay those factors out alike.
+    In full mode each block times its scalar part is added into the diagonal
+    view of the output that the deltas select.  In bridge mode the bridge's
+    real and imaginary rows, stacked, multiply the block, so the block stays
+    real.  The prefactor is applied once, at the end.
+    """
+    L = poly.rank
+    cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}
+    if bridge is None:
+        terms = poly.terms
+        out = np.zeros((3,) * L + (n,))
+    else:
+        terms = [t for t in poly.terms if not t.deltas]
+        rows = len(bridge)
+        stacked = np.concatenate([bridge.real, bridge.imag])
+        out = np.zeros((2 * rows, n))
+    structures, layouts, dots, boxes = {}, {}, {}, {}
+    for t in terms:
+        structures.setdefault((t.vecs, t.deltas, t.epses), []).append(t)
+    for (tvecs, deltas, epses), group in structures.items():
+        axis = _delta_view(L, deltas)[0]
+        layout = (tuple((s, axis[slot]) for s, slot in tvecs),
+                  tuple(tuple((k, axis[x]) if k == 'f' else (k, x) for k, x in e)
+                        for e in epses))
+        layouts.setdefault(layout, []).append((deltas, group))
+    # One scalar part at a time, so the call holds no array per structure.
+    for (vec_axes, eps_axes), parts in layouts.items():
+        p = len(vec_axes) + sum(k == 'f' for e in eps_axes for k, _ in e)
+        block = _block(vec_axes, eps_axes, p, cols, n)
+        for deltas, group in parts:
+            scalar = _scalar_part(group, vecs, n, dots, boxes)
+            if bridge is None:
+                _, view, shape = _delta_view(L, deltas)
+                target = np.einsum(view, out) if deltas else out
+                target += (block * scalar).reshape(shape + (n,))
+            else:
+                out += (stacked @ block) * scalar
+    pref = poly.prefactor.to_complex()
+    if bridge is not None:
+        return (out[:rows] + 1j * out[rows:]) * pref
+    if not pref.imag:
+        return out * pref.real
+    out = out * pref
+    if np.max(np.abs(out.imag)) < 1e-12 * (1.0 + np.max(np.abs(out.real))):
         return out.real
     return out
 
@@ -397,15 +467,15 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     syms = sorted({leaf.v for leaf in expr_leaves(expr)})
     vecs = sample_unit_vectors(seed, n_samples, syms)
     S = eval_expr_components(expr, vecs)
-    P = eval_poly_batch(result.poly, vecs, n_samples)
     L = result.poly.rank
     if result.true_scalar or L == 0:
+        P = eval_poly_batch(result.poly, vecs, n_samples)
         pred = rho_float(0) * P if not result.true_scalar else P
         abs_err = np.abs(S[:1] - pred)
         leak = float(np.max(np.abs(S[0].imag)))
     else:
         U = u_matrix(L).reshape(2 * L + 1, 3 ** L)
-        preds = rho_float(L) * (U @ P.reshape(3 ** L, n_samples))
+        preds = rho_float(L) * eval_poly_batch(result.poly, vecs, n_samples, bridge=U)
         abs_err = np.abs(S - preds)
         leak = 0.0
     row, sample = np.unravel_index(int(np.argmax(abs_err)), abs_err.shape)

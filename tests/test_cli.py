@@ -5,6 +5,10 @@ stdout/stderr split are exercised the same way the console script uses them.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,15 @@ class TestUsage:
         assert out == ""
         assert f"argument {flag}: {message}" in err
         assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m cartensor`` works from a checkout without the script."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "cartensor", "reduce", "Y[1](a)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1
+    assert proc.stderr == ""

@@ -147,6 +147,14 @@ class TestUMatrixBridge:
             gram = U @ U.conj().T
             assert np.abs(gram - np.eye(2 * L + 1)).max() < 1e-12
 
+    def test_rows_traceless_over_every_slot_pair(self):
+        """What lets eval_poly_batch skip the delta terms under bridge=U."""
+        for L in range(2, 6):
+            U = u_matrix(L)
+            for i in range(1, L + 1):
+                for j in range(i + 1, L + 1):
+                    assert np.abs(np.trace(U, axis1=i, axis2=j)).max() < 1e-14
+
     def test_tensor_to_spherical_components(self):
         """rho(l) * U . T^(l)(v) reproduces the harmonic components."""
         vecs = sample_unit_vectors(123, 6, ["a"])
@@ -360,6 +368,11 @@ HAND_POLYS = {
         _term(1, deltas=((0, 2), (1, 3)), vecs=(("c", 4),)),
         _term(-3, deltas=((0, 4),), vecs=(("a", 1), ("b", 2), ("a", 3))),
     ),
+    "delta_placements": _hand(3,
+        _term(2, deltas=((0, 1),), vecs=(("a", 2),), dots=(("a", "b", 1),)),
+        _term(-5, deltas=((1, 2),), vecs=(("a", 0),)),
+        _term(1, deltas=((0, 2),), vecs=(("a", 1),), dots=(("b", "c", 2),)),
+    ),
     "delta_alone": _hand(2,
         _term(7, 3, deltas=((0, 1),), dots=(("a", "b", 3),)),
     ),
@@ -416,12 +429,14 @@ class TestEvalPolyBatch:
         assert np.iscomplexobj(eval_poly_batch(imaginary[0], vecs, 17))
         assert not np.iscomplexobj(eval_poly_batch(HAND_POLYS["eps1"][0], vecs, 17))
 
-    @pytest.mark.parametrize("text", [
+    REDUCTIONS = [
         "[Y[2](a) x Y[2](b)][1]",
         "[[Y[2](a) x Y[1](b)][2] x Y[2](c)][3]",
         "[[Y[1](a) x Y[2](b)][2] x Y[1](c)][2]",
         "[Y[3](a) x Y[2](b)][4]",
-    ])
+    ]
+
+    @pytest.mark.parametrize("text", REDUCTIONS)
     def test_reductions(self, text, vecs):
         self._check([reduce_expr(parse(text)).poly], vecs, 17)
 
@@ -431,6 +446,37 @@ class TestEvalPolyBatch:
             self._check(poly, one, 1)
 
 
+BRIDGE_POLYS = (
+    [(f"hand:{name}", poly) for name in sorted(HAND_POLYS) for poly in HAND_POLYS[name]]
+    + [(text, None) for text in TestEvalPolyBatch.REDUCTIONS]
+    + [("harmonic_tensor(a, 8)", harmonic_tensor("a", 8)),
+       ("zero rank 3", TensorPoly(3))])
+
+
+class TestBridge:
+    """bridge=U gives U @ (the full tensor) without building the tensor; the
+    delta terms it skips project through U to rounding noise."""
+
+    @pytest.mark.parametrize("name, poly", BRIDGE_POLYS, ids=[b[0] for b in BRIDGE_POLYS])
+    def test_equals_projected_full_tensor(self, name, poly):
+        if poly is None:
+            poly = reduce_expr(parse(name)).poly
+        n, L = 17, poly.rank
+        vecs = sample_unit_vectors(31, n, ["a", "b", "c"])
+        U = u_matrix(L).reshape(2 * L + 1, 3 ** L)
+        full = eval_poly_batch(poly, vecs, n)
+        want = U @ full.reshape(3 ** L, n)
+        got = eval_poly_batch(poly, vecs, n, bridge=U)
+        assert got.shape == (2 * L + 1, n)
+        # The scale is the tensor's: a trace part projects to rounding noise.
+        scale = float(np.max(np.abs(full)))
+        if poly.is_zero:
+            assert scale == 0.0 and not np.any(want) and not np.any(got)
+        else:
+            assert scale > 0
+            assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
+
+
 class TestVerifyLocation:
     def test_worst_points_at_corrupted_component(self, monkeypatch):
         """A wrong z entry at one sample of a rank-1 result is a wrong m = 0
@@ -438,10 +484,10 @@ class TestVerifyLocation:
         expr = parse("[Y[2](a) x Y[1](b)][1]")
         evaluate = oracle.eval_poly_batch
 
-        def corrupted(poly, vecs, n):
+        def corrupted(poly, vecs, n, bridge=None):
             P = evaluate(poly, vecs, n).copy()
             P[2, 7] += 1e-3
-            return P
+            return P if bridge is None else bridge @ P.reshape(-1, n)
 
         monkeypatch.setattr(oracle, "eval_poly_batch", corrupted)
         rep = verify(expr, n_samples=12)
@@ -461,6 +507,18 @@ class TestVerifyLocation:
         vecs = sample_unit_vectors(DEFAULT_SEED, 15, ["a", "b"])
         scale = np.max(np.abs(eval_expr_components(expr, vecs)))
         assert rep.max_rel_err == pytest.approx(rep.max_abs_err / scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    "Y[8](a)",
+    "[Y[3](a) x Y[4](b)][6]",
+    "[[Y[1](a) x Y[1](b)][1] x Y[1](c)][0]",
+])
+def test_same_seed_same_json(text):
+    """Two runs with the same seed in one process report the same JSON."""
+    first = verify(text, seed=99).to_json()
+    assert verify(text, seed=99).to_json() == first
+    assert first["pass"] is True
 
 
 def test_high_degree_verify():
