@@ -218,11 +218,14 @@ def _common_factor(poly):
     its rational part is the gcd of the term coefficients."""
     terms = sorted(poly.terms, key=lambda t: (-_term_degree(t), t.key))
     rats = [t.coeff for t in terms]
-    g = Fraction(gcd(*(r.numerator for r in rats)), lcm(*(r.denominator for r in rats)))
+    top = gcd(*[r.numerator for r in rats])
+    bottom = lcm(*[r.denominator for r in rats])
     sign = 1 if rats[0] > 0 else -1
-    factor = CoeffAtom(g, poly.prefactor.radicand, poly.prefactor.pi_half,
-                       poly.prefactor.i_pow)
-    return sign, factor, [(int(r / (sign * g)), t) for r, t in zip(rats, terms)]
+    factor = CoeffAtom(Fraction(top, bottom), poly.prefactor.radicand,
+                       poly.prefactor.pi_half, poly.prefactor.i_pow)
+    div = sign * top
+    return sign, factor, [(r.numerator * (bottom // r.denominator) // div, t)
+                          for r, t in zip(rats, terms)]
 
 
 class _Style(NamedTuple):
@@ -346,6 +349,9 @@ def render_latex(result: ReductionResult) -> str:
 # ---------------------------------------------------------------------------
 
 def result_to_obj(result: ReductionResult) -> dict:
+    # Every term shares the prefactor's radicand, pi and i fields; a term only
+    # replaces num and den, which keeps atom_to_json's key order.
+    shared = atom_to_json(result.poly.prefactor)
     terms = []
     for t in result.poly.terms:
         free = []
@@ -356,7 +362,7 @@ def result_to_obj(result: ReductionResult) -> dict:
         for e in t.epses:
             free.append(["eps"] + [x[1] for x in e])
         terms.append({
-            "coeff": [atom_to_json(result.poly.term_atom(t))],
+            "coeff": [{**shared, "num": t.coeff.numerator, "den": t.coeff.denominator}],
             "dots": [[s1, s2, e] for s1, s2, e in t.dots],
             "boxes": [list(b) for b in t.boxes],
             "free_slots": free,

@@ -32,7 +32,7 @@ from typing import Optional, Union
 from .coeff import CoeffAtom, atom, atom_mul, double_factorial, factorial
 from .wigner import three_j, triangle_ok
 from .tensor import (TensorPoly, _jays, couple_even, couple_odd,
-                     harmonic_tensor, poly_scale, traceless_contract)
+                     harmonic_tensor, traceless_contract)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +232,14 @@ def reduce_expr(expr: CouplingExpr) -> ReductionResult:
         if is_root and L == 0:
             f = s_factor(l1)
             trace.append((f"S[{l1}]", f))
-            return poly_scale(traceless_contract(pl, pr, l1), f)
+            return traceless_contract(pl, pr, l1, f)
         if (l1 + l2 + L) % 2 == 0:
             f = q_factor(l1, l2, L)
             trace.append((f"q[{l1},{l2},{L}]", f))
-            return poly_scale(couple_even(pl, pr, L), f)
+            return couple_even(pl, pr, L, f)
         f = r_factor(l1, l2, L)
         trace.append((f"r[{l1},{l2},{L}]", f))
-        return poly_scale(couple_odd(pl, pr, L), f)
+        return couple_odd(pl, pr, L, f)
 
     poly = walk(expr, True)
     parity = "odd" if (expr_degree_sum(expr) - poly.rank) % 2 else "even"

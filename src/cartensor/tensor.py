@@ -10,12 +10,15 @@ TensorTerm monomials carrying n free slots.  Each term is a product of
   * a scalar monomial: dot products (v.w)^p and box products v.(w x u).
 
 All vectors are unit vectors, so (v.v) = 1 and never appears.  Contraction is
-exact and makes one pass per product.  contract_slots reads each term of each
-factor once into a slot table: the factors on surviving slots, already
-relabelled to output slots, and the occupant of every contracted slot (a
-vector symbol, the other end of a delta, or an epsilon position).  Each
-product then walks every chain of bonds once, across both tables, through the
-deltas that join two contracted slots, to its two ends, and fuses them:
+exact and resolves its bonds once per pair of slot signatures, not once per
+pair of terms.  contract_slots reads each term of each factor once: the
+factors on surviving slots, already relabelled to output slots, and its
+signature, the occupant of every contracted slot (a vector symbol, the other
+end of a delta, or an epsilon position) plus its epsilon-like factor.  Terms
+with one signature differ only in what the bonds never touch, so each side is
+grouped by signature, and each pair of signatures walks every chain of bonds
+once, across both sides, through the deltas that join two contracted slots,
+to its two ends, and fuses them:
 
     vec.vec -> dot      vec.free -> vec      free.free -> delta
     closed delta loop -> factor 3 (a trace)
@@ -38,6 +41,15 @@ parity) boxes.  The epsilon-like factors of a product are ordered side 1's
 before side 2's, and the identity eliminates the first two.  Both are fixed:
 where an elimination leaves an epsilon, another order leaves a different one,
 an equal value with different canonical terms and so different output bytes.
+
+A signature pair's result is a list of children: a factor (sign and traces),
+the vectors, deltas and dots it adds, and the canonical epsilon or box left.
+Each product of two terms only assembles its children.  Side 1's vectors and
+deltas followed by side 2's are already in canonical order, so only a child
+that adds some is sorted.  Within one call a dot monomial is one int, a bit
+field per symbol pair wide enough for the largest exponent a product can
+reach, so the product's monomial is the sum of three ints; each distinct
+monomial is unpacked once, at the end.
 
 During a contraction, embedding, relabelling or linear combination,
 coefficients are int numerators over one denominator per call (for a product,
@@ -142,7 +154,8 @@ def _shape(a: CoeffAtom) -> CoeffAtom:
 # Raw terms: the parts of a product before it is frozen into a TensorTerm
 # ---------------------------------------------------------------------------
 # A raw term is an int numerator (over one denominator per call), vectors
-# (sym, slot) and deltas (i, j) on output slots, a canonical dots tuple, and a
+# (sym, slot) and deltas (i, j) on output slots, a canonical dots tuple (in
+# contract_slots, a packed int until the end), and a
 # list of at most two epsilon-like factors: an epsilon, or a box held as an
 # all-symbol epsilon until freezing, as a list of entries ('f', slot),
 # ('s', sym) or ('b', ...).  ('b', bond) marks a contracted slot until its
@@ -170,22 +183,6 @@ def _eps_like(t: TensorTerm, entry) -> list:
     if t.epses:
         return [[entry(e[1]) if e[0] == 'f' else e for e in t.epses[0]]]
     return [[('s', s) for s in t.boxes[0]]] if t.boxes else []
-
-
-def _merged_dots(d1: tuple, d2: tuple, pairs) -> tuple:
-    """The canonical dots tuple of d1 * d2 * the dot of each symbol pair."""
-    if not pairs:
-        if not d2:
-            return d1
-        if not d1:
-            return d2
-    acc = {(s1, s2): e for s1, s2, e in d1}
-    for s1, s2, e in d2:
-        acc[s1, s2] = acc.get((s1, s2), 0) + e
-    for s1, s2 in pairs:
-        k = (s1, s2) if s1 < s2 else (s2, s1)
-        acc[k] = acc.get(k, 0) + 1
-    return tuple(sorted([(s1, s2, e) for (s1, s2), e in acc.items()]))
 
 
 def _fuse(x, y, vecs: list, deltas: list, pairs: list, eps: list) -> bool:
@@ -232,6 +229,22 @@ def _sort_with_parity(items):
     return tuple(items), sign
 
 
+def _canonical_eps(ep) -> tuple | None:
+    """(epses, boxes, sign) of the lone epsilon-like factor ep (a sequence of
+    three entries) in canonical entry order, or None if a repeated entry
+    annihilates it."""
+    if len({*ep}) < 3:
+        return None
+    kinds = (ep[0][0], ep[1][0], ep[2][0])
+    if kinds == ('s', 's', 's'):
+        triple, sign = _sort_with_parity(e[1] for e in ep)
+        return (), (triple,), sign
+    if 'b' in kinds:
+        raise AssertionError("unresolved bond outside an epsilon pair")
+    triple, sign = _sort_with_parity(ep)
+    return (triple,), (), sign
+
+
 def _freeze_into(acc: dict, num: int, vecs, deltas, dots: tuple, eps: list) -> None:
     """Add the canonical form of a raw term with at most one epsilon-like
     factor to acc, a dict of int numerators by TensorTerm key."""
@@ -239,51 +252,16 @@ def _freeze_into(acc: dict, num: int, vecs, deltas, dots: tuple, eps: list) -> N
     if eps:
         if len(eps) > 1:
             raise AssertionError("canonical term with multiple epsilon-like factors")
-        ep = eps[0]
-        if len({*ep}) < 3:
-            return  # a repeated entry annihilates the epsilon
-        kinds = (ep[0][0], ep[1][0], ep[2][0])
-        if kinds == ('s', 's', 's'):
-            triple, sign = _sort_with_parity(e[1] for e in ep)
-            boxes = (triple,)
-        elif 'b' in kinds:
-            raise AssertionError("unresolved bond outside an epsilon pair")
-        else:
-            triple, sign = _sort_with_parity(ep)
-            epses = (triple,)
+        canon = _canonical_eps(eps[0])
+        if canon is None:
+            return
+        epses, boxes, sign = canon
         if sign < 0:
             num = -num
     key = (tuple(sorted(vecs, key=_by_slot)),
            tuple(sorted([(i, j) if i < j else (j, i) for i, j in deltas])),
            epses, dots, boxes)
     acc[key] = acc.get(key, 0) + num
-
-
-def _determinant_into(acc: dict, num: int, vecs, deltas, dots: tuple, ex, ey) -> None:
-    """Add eps(ex) eps(ey) times the rest of the term to acc, by
-
-        eps_ijk eps_lmn = det [[d_il, d_im, d_in], [d_jl, ...], [d_kl, ...]].
-
-    Each of the six permutations pairs ex[i] with ey[perm[i]]; pairs that
-    share a link are chained to their two ends and fused, and a chain that
-    closes on itself is a delta trace, factor 3."""
-    for perm, sign in _PERMS3:
-        links = [(ex[i], ey[perm[i]]) for i in range(3)]
-        cvecs, cdeltas, pairs = list(vecs), list(deltas), []
-        n = num * sign
-        while links:
-            x, y = links.pop()
-            while 'b' in (x[0], y[0]) and x != y:
-                if x[0] != 'b':
-                    x, y = y, x
-                u, v = links.pop(next(i for i, l in enumerate(links) if x in l))
-                x = v if u == x else u
-            if x[0] == 'b':
-                n *= 3
-            elif not _fuse(x, y, cvecs, cdeltas, pairs, None):
-                break
-        else:
-            _freeze_into(acc, n, cvecs, cdeltas, _merged_dots(dots, (), pairs), [])
 
 
 def _from_numerators(rank: int, acc: dict, den: int,
@@ -321,9 +299,9 @@ def vector_power(v, l: int) -> TensorPoly:
     return TensorPoly(l, (TensorTerm(Fraction(1), vecs),))
 
 
-def _combine(rank: int, pieces, scale=1) -> TensorPoly:
-    """scale * the sum of w * p over the (w, p) in pieces, for rationals w and
-    scale and TensorPolys p of the given rank whose nonzero ones share a
+def _combine(rank: int, pieces, scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """scale * the sum of w * p over the (w, p) in pieces, for rationals w, an
+    atom scale and TensorPolys p of the given rank whose nonzero ones share a
     prefactor.
 
     One pass: every term's numerator over one common denominator, summed by
@@ -342,8 +320,7 @@ def _combine(rank: int, pieces, scale=1) -> TensorPoly:
         for num, t in zip(nums, terms):
             k = t.key
             acc[k] = acc.get(k, 0) + m * num
-    return _from_numerators(rank, acc, den,
-                            CoeffAtom(scale, pf.radicand, pf.pi_half, pf.i_pow))
+    return _from_numerators(rank, acc, den, atom_mul(pf, scale))
 
 
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
@@ -387,11 +364,12 @@ def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
 # ---------------------------------------------------------------------------
 
 def _split(t: TensorTerm, where: list, nb: int) -> tuple:
-    """One term of a contraction factor, read once: (vecs, deltas, eps, dots,
-    occ).  The factors on surviving slots are relabelled to output slots;
-    occ[bond] is the occupant of that bond's contracted slot: a vector
-    ('s', sym), the other end of a delta, ('f', slot) or ('b', bond), or a
-    position ('e', pos) of the term's epsilon-like factor."""
+    """One term of a contraction factor, read once: (vecs, deltas, signature).
+    The factors on surviving slots are relabelled to output slots, in slot
+    order.  The signature is (occ, eps): occ[bond] is the occupant of that
+    bond's contracted slot, a vector ('s', sym), the other end of a delta,
+    ('f', slot) or ('b', bond), or a position ('e', pos) of the term's
+    epsilon-like factor; eps holds that factor, if any."""
     occ = [None] * nb
     vecs = []
     for s, i in t.vecs:
@@ -415,7 +393,32 @@ def _split(t: TensorTerm, where: list, nb: int) -> tuple:
         for pos, e in enumerate(ep):
             if e[0] == 'b':
                 occ[e[1]] = ('e', pos)
-    return vecs, deltas, tuple(map(tuple, eps)), t.dots, occ
+    return tuple(vecs), tuple(deltas), (tuple(occ), tuple(map(tuple, eps)))
+
+
+def _group(terms, nums, where: list, nb: int, syms: set) -> tuple:
+    """(groups, top) for one contraction factor: its terms read by _split and
+    grouped by signature, {signature: [(num, vecs, deltas, dots), ...]}, and
+    the largest dot exponent among them.  Every symbol that can end up in a
+    dot of the product is added to syms."""
+    groups: dict = {}
+    top = 0
+    for num, t in zip(nums, terms):
+        vecs, deltas, sig = _split(t, where, nb)
+        for s1, s2, e in t.dots:
+            syms.add(s1)
+            syms.add(s2)
+            if e > top:
+                top = e
+        g = groups.get(sig)
+        if g is None:
+            groups[sig] = g = []
+        g.append((num, vecs, deltas, t.dots))
+    for occ, eps in groups:
+        syms.update([o[1] for o in occ if o[0] == 's'])
+        for ep in eps:
+            syms.update([e[1] for e in ep if e[0] == 's'])
+    return groups, top
 
 
 def _chain_end(occ: tuple, b: int, s: int, eps_index: tuple, seen: list):
@@ -434,9 +437,104 @@ def _chain_end(occ: tuple, b: int, s: int, eps_index: tuple, seen: list):
         s = 1 - s
 
 
-def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs) -> TensorPoly:
-    """Contract specific slot pairs (i in p1, j in p2).  Surviving p1 slots come
-    first (in order), then surviving p2 slots."""
+def _child(factor: int, vecs, deltas, pairs, ep) -> list:
+    """[(factor, vecs, deltas, pairs, epses, boxes)]: what one resolved
+    product adds to its two terms, with deltas as (i, j), i < j, dot pairs as
+    (s1, s2), s1 < s2, and the lone epsilon-like factor ep (or None) in
+    canonical form, its sign in factor; [] if ep annihilates."""
+    epses = boxes = ()
+    if ep is not None:
+        canon = _canonical_eps(ep)
+        if canon is None:
+            return []
+        epses, boxes, sign = canon
+        factor *= sign
+    return [(factor, tuple(vecs), tuple([(i, j) if i < j else (j, i) for i, j in deltas]),
+             tuple([(a, b) if a < b else (b, a) for a, b in pairs]), epses, boxes)]
+
+
+def _resolve(sig1: tuple, sig2: tuple, nb: int) -> list:
+    """The children of the product of any side-1 term with signature sig1 and
+    any side-2 term with signature sig2, as _child gives them; [] if the
+    product is zero.
+
+    Walks every chain of bonds once and fuses its ends; a closed delta loop
+    is a trace, factor 3.  Two epsilon-like factors are eliminated by
+
+        eps_ijk eps_lmn = det [[d_il, d_im, d_in], [d_jl, ...], [d_kl, ...]]:
+
+    each of the six permutations (in _PERMS3 order) pairs ex[i] with
+    ey[perm[i]], pairs that share a link are chained to their two ends and
+    fused, and a chain that closes on itself is a trace."""
+    (occ1, eps1), (occ2, eps2) = sig1, sig2
+    eps = [list(e) for e in eps1] + [list(e) for e in eps2]
+    occ = (occ1, occ2)
+    eps_index = (0, len(eps1))
+    vecs, deltas, pairs = [], [], []
+    factor = 1
+    seen = [False] * nb
+    for b in range(nb):
+        if seen[b]:
+            continue
+        seen[b] = True
+        x = _chain_end(occ, b, 0, eps_index, seen)
+        if x is None:
+            factor *= 3
+        elif not _fuse(x, _chain_end(occ, b, 1, eps_index, seen),
+                       vecs, deltas, pairs, eps):
+            return []
+    if len(eps) < 2:
+        return _child(factor, vecs, deltas, pairs, eps[0] if eps else None)
+    ex, ey = eps
+    children = []
+    for perm, sign in _PERMS3:
+        links = [(ex[i], ey[perm[i]]) for i in range(3)]
+        cvecs, cdeltas, cpairs = list(vecs), list(deltas), list(pairs)
+        f = factor * sign
+        while links:
+            x, y = links.pop()
+            while 'b' in (x[0], y[0]) and x != y:
+                if x[0] != 'b':
+                    x, y = y, x
+                u, v = links.pop(next(i for i, l in enumerate(links) if x in l))
+                x = v if u == x else u
+            if x[0] == 'b':
+                f *= 3
+            elif not _fuse(x, y, cvecs, cdeltas, cpairs, None):
+                break
+        else:
+            children += _child(f, cvecs, cdeltas, cpairs, None)
+    return children
+
+
+def _unpacked(acc: dict, fields: list, width: int) -> dict:
+    """acc with each key's packed dot monomial (one `width`-bit field per
+    symbol pair in fields, lowest first) replaced by its canonical dots tuple,
+    and the zero numerators dropped.  Each distinct monomial is unpacked
+    once."""
+    mask = (1 << width) - 1
+    dots_of: dict = {}
+    out: dict = {}
+    for (vecs, deltas, ep, code, bx), c in acc.items():
+        if not c:
+            continue
+        dots = dots_of.get(code)
+        if dots is None:
+            found, rest, k = [], code, 0
+            while rest:
+                if rest & mask:
+                    found.append((*fields[k], rest & mask))
+                rest >>= width
+                k += 1
+            dots = dots_of[code] = tuple(found)
+        out[vecs, deltas, ep, dots, bx] = c
+    return out
+
+
+def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs,
+                   scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """Contract specific slot pairs (i in p1, j in p2), times the atom scale.
+    Surviving p1 slots come first (in order), then surviving p2 slots."""
     pairs = list(pairs)
     paired1 = {i for i, _ in pairs}
     paired2 = {j for _, j in pairs}
@@ -458,45 +556,58 @@ def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs) -> TensorPoly:
     nb = len(pairs)
     den1, nums1 = _numerators(p1.terms)
     den2, nums2 = _numerators(p2.terms)
-    side1 = [_split(t, where1, nb) for t in p1.terms]
-    side2 = [_split(t, where2, nb) for t in p2.terms]
+    syms: set = set()
+    groups1, top1 = _group(p1.terms, nums1, where1, nb, syms)
+    groups2, top2 = _group(p2.terms, nums2, where2, nb, syms)
+
+    # A dot monomial is one int, a field of `width` bits per symbol pair in
+    # sorted pair order.  A product adds at most one dot per bond chain and
+    # three through the determinant, so no field overflows.
+    width = (top1 + top2 + nb + 3).bit_length()
+    names = sorted(syms)
+    fields = [(a, b) for n, a in enumerate(names) for b in names[n + 1:]]
+    unit = {f: 1 << (k * width) for k, f in enumerate(fields)}
+
+    def packed(groups):
+        return [(sig, [(num, vecs, deltas, sum([e * unit[s1, s2] for s1, s2, e in dots]))
+                       for num, vecs, deltas, dots in g])
+                for sig, g in groups.items()]
+
+    side2 = packed(groups2)
     acc: dict = {}
-    for num1, (vecs1, deltas1, eps1, dots1, occ1) in zip(nums1, side1):
-        for num2, (vecs2, deltas2, eps2, dots2, occ2) in zip(nums2, side2):
-            num = num1 * num2
-            vecs = vecs1 + vecs2
-            deltas = deltas1 + deltas2
-            eps = [list(e) for e in eps1] + [list(e) for e in eps2]
-            occ = (occ1, occ2)
-            eps_index = (0, len(eps1))
-            dot_pairs = []
-            seen = [False] * nb
-            for b in range(nb):
-                if seen[b]:
-                    continue
-                seen[b] = True
-                x = _chain_end(occ, b, 0, eps_index, seen)
-                if x is None:
-                    num *= 3  # a closed delta loop is a trace
-                elif not _fuse(x, _chain_end(occ, b, 1, eps_index, seen),
-                               vecs, deltas, dot_pairs, eps):
-                    break
-            else:
-                dots = _merged_dots(dots1, dots2, dot_pairs)
-                if len(eps) < 2:
-                    _freeze_into(acc, num, vecs, deltas, dots, eps)
-                else:
-                    _determinant_into(acc, num, vecs, deltas, dots, *eps)
-    return _from_numerators(rank, acc, den1 * den2,
-                            atom_mul(p1.prefactor, p2.prefactor))
+    for sig1, g1 in packed(groups1):
+        for sig2, g2 in side2:
+            children = [(f, av, ad, sum([unit[p] for p in dp]), ep, bx)
+                        for f, av, ad, dp, ep, bx in _resolve(sig1, sig2, nb)]
+            if not children:
+                continue
+            # vecs1 + vecs2 and deltas1 + deltas2 are canonical already: each
+            # side keeps slot order, and side 1's output slots come first.
+            for num1, vecs1, deltas1, code1 in g1:
+                for num2, vecs2, deltas2, code2 in g2:
+                    num = num1 * num2
+                    vecs = vecs1 + vecs2
+                    deltas = deltas1 + deltas2
+                    code = code1 + code2
+                    for f, av, ad, dc, ep, bx in children:
+                        if av or ad:
+                            key = (tuple(sorted(vecs + av, key=_by_slot)),
+                                   tuple(sorted(deltas + ad)), ep, code + dc, bx)
+                        else:
+                            key = (vecs, deltas, ep, code + dc, bx)
+                        acc[key] = acc.get(key, 0) + num * f
+
+    return _from_numerators(rank, _unpacked(acc, fields, width), den1 * den2,
+                            atom_mul(atom_mul(p1.prefactor, p2.prefactor), scale))
 
 
-def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
+def contract(p1: TensorPoly, p2: TensorPoly, k: int,
+             scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
     """Contract the last k slots of p1 with the first k slots of p2 (k=0 is the
-    outer product)."""
+    outer product), times the atom scale."""
     if k < 0 or k > min(p1.rank, p2.rank):
         raise ValueError(f"cannot contract {k} slots of ranks {p1.rank},{p2.rank}")
-    return contract_slots(p1, p2, [(p1.rank - k + t, t) for t in range(k)])
+    return contract_slots(p1, p2, [(p1.rank - k + t, t) for t in range(k)], scale)
 
 
 def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
@@ -505,9 +616,10 @@ def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     return contract(p1, p2, p1.rank)
 
 
-def traceless_contract(A: TensorPoly, B: TensorPoly, k: int) -> TensorPoly:
-    """contract(A, B, k) for symmetric traceless A and B, without the products
-    that sum to zero.
+def traceless_contract(A: TensorPoly, B: TensorPoly, k: int,
+                       scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """contract(A, B, k, scale) for symmetric traceless A and B, without the
+    products that sum to zero.
 
     Precondition: A and B are both STF.  A term of B with a delta joining two
     contracted slots meets a trace of A, so summed over all of A's terms it
@@ -524,7 +636,7 @@ def traceless_contract(A: TensorPoly, B: TensorPoly, k: int) -> TensorPoly:
         B = TensorPoly(B.rank, keep_b, B.prefactor)
     else:
         A = TensorPoly(A.rank, keep_a, A.prefactor)
-    return contract(A, B, k)
+    return contract(A, B, k, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +783,8 @@ _EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f',
 
 
 def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
-                  norm: Fraction) -> TensorPoly:
-    """norm * sum over r of the rank-l3 pieces of A and B for the given
+                  norm: Fraction, scale: CoeffAtom) -> TensorPoly:
+    """scale * norm * sum over r of the rank-l3 pieces of A and B for the given
     parity of l1+l2-l3: A and B contracted on k+r slot pairs, for odd parity
     an epsilon hooked to one free slot of each, then r deltas symmetrized in."""
     l1, l2 = A.rank, B.rank
@@ -687,19 +799,23 @@ def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
         c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
                      double_factorial(2 * l3 - 1))
         pieces.append((c, symmetrized_embed(core, [1] * parity + [g1, g2], r, l3)))
-    return _combine(l3, pieces, norm)
+    return _combine(l3, pieces, atom_mul(scale, CoeffAtom(norm)))
 
 
-def couple_even(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
-    """Even-parity coupling of symmetric traceless tensors to rank l3."""
+def couple_even(A: TensorPoly, B: TensorPoly, l3: int,
+                scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """Even-parity coupling of symmetric traceless tensors to rank l3, times
+    the atom scale."""
     _check_triple(A.rank, B.rank, l3, 0)
-    return _coupling_sum(A, B, l3, 0, 1 / kappa_even(A.rank, B.rank, l3))
+    return _coupling_sum(A, B, l3, 0, 1 / kappa_even(A.rank, B.rank, l3), scale)
 
 
-def couple_odd(A: TensorPoly, B: TensorPoly, l3: int) -> TensorPoly:
-    """Odd-parity (epsilon-bearing) coupling of symmetric traceless tensors."""
+def couple_odd(A: TensorPoly, B: TensorPoly, l3: int,
+               scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """Odd-parity (epsilon-bearing) coupling of symmetric traceless tensors,
+    times the atom scale."""
     if l3 == 0:
         raise ValueError(
             "odd coupling to rank 0 is impossible (parity): use couple_even")
     _check_triple(A.rank, B.rank, l3, 1)
-    return _coupling_sum(A, B, l3, 1, odd_norm(A.rank, B.rank, l3))
+    return _coupling_sum(A, B, l3, 1, odd_norm(A.rank, B.rank, l3), scale)

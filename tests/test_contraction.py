@@ -1,11 +1,14 @@
-"""The one-pass contraction against the scan-and-fuse reference.
+"""The grouped contraction against the scan-and-fuse reference.
 
-tensor.contract_slots walks each bond chain once over per-term slot tables
-and keeps int numerators; reference_contraction fuses one bond at a time with
-Fraction coefficients.  Both must give the same canonical TensorPoly, term for
-term, on random small tensors and on the chain shapes that are easy to get
-wrong: closed delta loops through both factors, an epsilon chained back to
-itself, and two epsilon-like factors.
+tensor.contract_slots resolves the bonds once per pair of slot signatures,
+keeps int numerators and packs each dot monomial into one int;
+reference_contraction fuses one bond at a time, term by term, with Fraction
+coefficients.  Both must give the same canonical TensorPoly, term for term, on
+random tensors whose terms share signatures and dot symbols, and on the cases
+that are easy to get wrong: closed delta loops through both factors, an
+epsilon chained back to itself, two epsilon-like factors, dot monomials whose
+pairs meet at the seam of the two sides, exponents that fill a packed field,
+and a call in which one signature pair annihilates and another survives.
 """
 
 from fractions import Fraction
@@ -53,14 +56,20 @@ def _raw_terms(draw, rank):
     n_delta = draw(st.integers(0, len(rest) // 2))
     deltas = [(('f', rest[2 * k]), ('f', rest[2 * k + 1])) for k in range(n_delta)]
     vecs = [(draw(st.sampled_from(SYMBOLS)), ('f', i)) for i in rest[2 * n_delta:]]
+    return {'vecs': vecs, 'deltas': deltas, 'epses': epses}
+
+
+@st.composite
+def _dots(draw):
+    """Dot monomials over the shared symbols, exponents up to 8 per factor."""
     dots = {}
-    for s1, s2 in draw(st.lists(st.tuples(st.sampled_from(SYMBOLS),
-                                          st.sampled_from(SYMBOLS)), max_size=2)):
+    for s1, s2, e in draw(st.lists(st.tuples(st.sampled_from(SYMBOLS),
+                                             st.sampled_from(SYMBOLS),
+                                             st.integers(1, 8)), max_size=3)):
         if s1 != s2:
             key = (min(s1, s2), max(s1, s2))
-            dots[key] = dots.get(key, 0) + 1
-    coeff = Fraction(draw(st.integers(-6, 6).filter(bool)), draw(st.integers(1, 6)))
-    return {'coeff': coeff, 'vecs': vecs, 'deltas': deltas, 'epses': epses, 'dots': dots}
+            dots[key] = dots.get(key, 0) + e
+    return dots
 
 
 _prefactors = st.sampled_from([ATOM_ONE, atom(1, 2), atom(1, 3, 0, 1), atom(1, 1, -1)])
@@ -68,8 +77,14 @@ _prefactors = st.sampled_from([ATOM_ONE, atom(1, 2), atom(1, 3, 0, 1), atom(1, 1
 
 @st.composite
 def _polys(draw):
+    """Up to 8 terms on at most 4 tensor shapes, so that several terms share a
+    signature and differ in their dots and coefficients."""
     rank = draw(st.integers(0, 4))
-    raws = draw(st.lists(_raw_terms(rank), min_size=1, max_size=3))
+    shapes = draw(st.lists(_raw_terms(rank), min_size=1, max_size=4))
+    raws = [dict(draw(st.sampled_from(shapes)), dots=draw(_dots()),
+                 coeff=Fraction(draw(st.integers(-6, 6).filter(bool)),
+                                draw(st.integers(1, 6))))
+            for _ in range(draw(st.integers(1, 8)))]
     return _build(rank, raws, draw(_prefactors))
 
 
@@ -159,6 +174,53 @@ def test_box_times_box_is_gram_determinant():
     assert len(got.terms) == 6
     diag = TensorTerm(Fraction(1), dots=(('a', 'd', 1), ('b', 'e', 1), ('c', 'f', 1)))
     assert diag in got.terms
+
+
+def test_dot_pair_at_the_seam_of_the_two_sides():
+    """Side 1's last dot pair is side 2's first: the exponents add, they are
+    not two factors of one pair."""
+    a = _poly(0, (1, (), (), (), {('a', 'b'): 1, ('c', 'd'): 2}),
+                 (3, (), (), (), {('c', 'd'): 3}))
+    b = _poly(0, (2, (), (), (), {('c', 'd'): 3, ('d', 'e'): 1}),
+                 (5, (), (), (), {('a', 'b'): 4}))
+    got = contract_slots(a, b, [])
+    assert got == reference_contract_slots(a, b, [])
+    assert [t.dots for t in got.terms] == [
+        (('a', 'b', 1), ('c', 'd', 5), ('d', 'e', 1)),
+        (('a', 'b', 4), ('c', 'd', 3)),
+        (('a', 'b', 5), ('c', 'd', 2)),
+        (('c', 'd', 6), ('d', 'e', 1)),
+    ]
+
+
+def test_exponent_fills_a_packed_field():
+    """(a.b)^8 (a.c) times (a.b)^6 (b.c)^6 through two bonds a.b: exponent 16,
+    one more than the sides' largest exponents add up to and one past what four
+    bits hold, in the lowest field, next to a field a carry out of it would
+    corrupt."""
+    a = _poly(2, (1, (('a', 0), ('a', 1)), (), (), {('a', 'b'): 8, ('a', 'c'): 1}))
+    b = _poly(2, (1, (('b', 0), ('b', 1)), (), (), {('a', 'b'): 6, ('b', 'c'): 6}))
+    got = contract_slots(a, b, [(0, 0), (1, 1)])
+    assert got == reference_contract_slots(a, b, [(0, 0), (1, 1)])
+    assert got.terms == (TensorTerm(Fraction(1), dots=(('a', 'b', 16), ('a', 'c', 1),
+                                                       ('b', 'c', 6))),)
+
+
+def test_one_signature_pair_annihilates_and_another_survives():
+    """eps_ija delta_ij = 0 in the same call as b_i c_j delta_ij = (b.c) and
+    the products with d_i e_j."""
+    a = _poly(2, (2, (), (), ((0, 1, 'a'),), {('a', 'b'): 1}),
+                 (1, (), (), ((0, 1, 'a'),), {('b', 'c'): 2}),
+                 (3, (('b', 0), ('c', 1)), (), (), {}))
+    b = _poly(2, (1, (), ((0, 1),), (), {('a', 'b'): 1}),
+                 (5, (('d', 0), ('e', 1)), (), (), {}))
+    pairs = [(0, 0), (1, 1)]
+    got = contract_slots(a, b, pairs)
+    assert got == reference_contract_slots(a, b, pairs)
+    assert got == _poly(0, (3, (), (), (), {('a', 'b'): 1, ('b', 'c'): 1}),
+                        (10, (), (), (('d', 'e', 'a'),), {('a', 'b'): 1}),
+                        (5, (), (), (('d', 'e', 'a'),), {('b', 'c'): 2}),
+                        (15, (), (), (), {('b', 'd'): 1, ('c', 'e'): 1}))
 
 
 def test_duplicate_slot_rejected():

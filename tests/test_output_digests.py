@@ -3,8 +3,10 @@
 tests/data/output_digests.json holds, for each of the 103 benchmark
 couplings (the bundled corpus, the 50 random couplings and the high-degree
 set, in that order), the expression and the sha256 of
-render_text + render_latex + render_json of its reduction.  A change that
-alters any output byte fails here and names the coupling.
+render_text + render_latex + render_json of its reduction.  PROBES adds three
+many-vector couplings, where a contraction has many terms per side sharing
+slot signatures, pinned the same way.  A change that alters any output byte
+fails here and names the coupling.
 """
 
 import hashlib
@@ -18,6 +20,21 @@ from cartensor import parse, reduce_expr, render_json, render_latex, render_text
 DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json")
                      .read_text(encoding="utf-8"))
 
+PROBES = {
+    "[[[Y[4](a) x Y[4](b)][4] x [Y[4](c) x Y[4](d)][4]][4] x [Y[4](e) x Y[4](f)][4]][0]":
+        "c9ebb4c63a13b58cdf2b686820df13b1502b0a965975fa7aebdf5c7cb085a249",
+    "[[Y[6](a) x Y[6](b)][5] x [Y[6](c) x Y[6](d)][5]][0]":
+        "ea031253c1bcc87de50fa4d4a567636160059a3958dc215b9a071cc6b9b95ff7",
+    "[[Y[3](a) x Y[3](b)][5] x [Y[3](c) x Y[3](d)][5]][2]":
+        "5895af84f69d33e099f74e9fad3f0556ecc479e0e6416e456fc817545d663b47",
+}
+
+
+def _digest(expr: str) -> str:
+    result = reduce_expr(parse(expr))
+    blob = render_text(result) + render_latex(result) + render_json(result)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
 
 def test_digest_file_covers_the_benchmark_sets():
     assert len(DIGESTS) == 103
@@ -25,7 +42,9 @@ def test_digest_file_covers_the_benchmark_sets():
 
 @pytest.mark.parametrize("entry", DIGESTS, ids=[e["expr"] for e in DIGESTS])
 def test_output_bytes_unchanged(entry):
-    result = reduce_expr(parse(entry["expr"]))
-    blob = render_text(result) + render_latex(result) + render_json(result)
-    assert hashlib.sha256(blob.encode()).hexdigest() == entry["sha256"], (
-        f"output of {entry['expr']} changed")
+    assert _digest(entry["expr"]) == entry["sha256"], f"output of {entry['expr']} changed"
+
+
+@pytest.mark.parametrize("expr", PROBES)
+def test_many_vector_probe_bytes_unchanged(expr):
+    assert _digest(expr) == PROBES[expr], f"output of {expr} changed"
