@@ -358,20 +358,6 @@ def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int,
     return out
 
 
-def eval_poly(result, assignment: dict):
-    """Evaluate a reduced polynomial at one configuration.
-
-    Returns a float for rank 0, else an ndarray of shape (3,)*rank.
-    """
-    poly = result.poly if isinstance(result, ReductionResult) else result
-    vecs = {s: _coerce_vec(v).reshape(1, 3) for s, v in assignment.items()}
-    arr = eval_poly_batch(poly, vecs, 1)
-    if poly.rank == 0:
-        v = arr[0]
-        return float(v.real) if np.iscomplexobj(arr) else float(v)
-    return arr[..., 0]
-
-
 # ---------------------------------------------------------------------------
 # Component bridge (Cartesian tensor -> spherical components)
 # ---------------------------------------------------------------------------

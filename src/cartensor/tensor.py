@@ -51,12 +51,18 @@ field per symbol pair wide enough for the largest exponent a product can
 reach, so the product's monomial is the sum of three ints; each distinct
 monomial is unpacked once, at the end.
 
-During a contraction, embedding, relabelling or linear combination,
-coefficients are int numerators over one denominator per call (for a product,
-the lcm of each side's denominators, multiplied; for a combination, the lcm
-over its pieces); a term's numerators are summed by monomial and each output
-term gets one Fraction.  Bond-free relabellings
-(symmetrized_embed, poly_permute_slots) go straight to the canonical form.
+Inside the engine a polynomial is raw: (rank, den, {term key: int
+numerator}), the terms over one denominator, without the prefactor.  A
+coupling node thaws its two children once, and int numerators flow through its
+whole sum over r: each contraction writes a raw result (denominator: the
+product of its sides'), the odd-parity epsilon hook contracts that raw result,
+and the embedding relabels it straight into the node's one accumulator with
+the weight of its r (denominator: the lcm over r).  The node is then frozen
+once: one Fraction per output term, one sort of the keys.  A harmonic leaf is
+built the same way.  The public contract_slots, contract, traceless_contract,
+symmetrized_embed and poly_permute_slots each thaw their arguments and freeze
+their result around the same raw core.  Bond-free relabellings (embedding,
+slot permutation) go straight to the canonical form.
 
 The prefactor is a canonical atom with rat == 1 (ATOM_ONE for the zero
 polynomial), so equal values are equal TensorPolys.  Only the prefactor is ever
@@ -78,9 +84,9 @@ symmetrized with r deltas; both normalizations, kappa_even and odd_norm, are
 closed-form factorial ratios in J = l1+l2+l3 and Ji = J-2li-1.
 
 Wherever both factors of a contraction are symmetric traceless (the children
-of a coupling node), traceless_contract prunes before the product loop: a term
-whose delta joins two contracted slots meets a trace of the other factor and
-so sums to exactly zero over it.  The rule holds for one side at a time only,
+of a coupling node), traceless_contract and each coupling node prune through
+one helper before the product loop: a term whose delta joins two contracted
+slots meets a trace of the other factor and so sums to exactly zero over it.  The rule holds for one side at a time only,
 since it relies on the other side keeping all its terms; contract,
 contract_slots and full_contract never prune, as they also serve non-STF
 factors such as vector_power.
@@ -168,21 +174,22 @@ _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 _by_slot = itemgetter(1)
 
 
-def _numerators(terms) -> tuple:
-    """(den, [numerator of each term over den]) with den the lcm of the
-    coefficient denominators."""
-    den = math.lcm(*[t.coeff.denominator for t in terms])
-    return den, [t.coeff.numerator * (den // t.coeff.denominator) for t in terms]
+def _thaw(p: TensorPoly) -> tuple:
+    """p's terms as a raw polynomial (rank, den, {key: numerator over den}),
+    den the lcm of the coefficient denominators; the prefactor is left out."""
+    den = math.lcm(*[t.coeff.denominator for t in p.terms])
+    return p.rank, den, {t.key: t.coeff.numerator * (den // t.coeff.denominator)
+                         for t in p.terms}
 
 
-def _eps_like(t: TensorTerm, entry) -> list:
-    """The term's epsilon-like factor, its slot entries mapped by entry(slot),
+def _eps_like(epses: tuple, boxes: tuple, entry) -> list:
+    """A term's epsilon-like factor, its slot entries mapped by entry(slot),
     as a list of at most one entry list."""
-    if len(t.epses) + len(t.boxes) > 1:
+    if len(epses) + len(boxes) > 1:
         raise AssertionError("canonical term with multiple epsilon-like factors")
-    if t.epses:
-        return [[entry(e[1]) if e[0] == 'f' else e for e in t.epses[0]]]
-    return [[('s', s) for s in t.boxes[0]]] if t.boxes else []
+    if epses:
+        return [[entry(e[1]) if e[0] == 'f' else e for e in epses[0]]]
+    return [[('s', s) for s in boxes[0]]] if boxes else []
 
 
 def _fuse(x, y, vecs: list, deltas: list, pairs: list, eps: list) -> bool:
@@ -264,9 +271,10 @@ def _freeze_into(acc: dict, num: int, vecs, deltas, dots: tuple, eps: list) -> N
     acc[key] = acc.get(key, 0) + num
 
 
-def _from_numerators(rank: int, acc: dict, den: int,
+def _from_numerators(rank: int, den: int, acc: dict,
                      factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """factor * sum of acc[key]/den * monomial(key); factor is a canonical atom."""
+    """factor * sum of acc[key]/den * monomial(key), frozen: the raw polynomial
+    (rank, den, acc) times a canonical atom."""
     rat = factor.rat
     n, d = rat.numerator, den * rat.denominator
     out = tuple([TensorTerm(Fraction(c * n, d), *k) for k, c in sorted(acc.items()) if c])
@@ -275,12 +283,14 @@ def _from_numerators(rank: int, acc: dict, den: int,
     return TensorPoly(rank, out, _shape(factor))
 
 
-def _relabel_into(acc: dict, num: int, t: TensorTerm, m, extra=()) -> None:
-    """Add term t, with slot i moved to m[i] and the deltas extra appended, to
-    acc.  There are no bonds, so nothing needs resolving."""
-    _freeze_into(acc, num, [(s, m[i]) for s, i in t.vecs],
-                 [(m[i], m[j]) for i, j in t.deltas] + list(extra), t.dots,
-                 _eps_like(t, lambda i: ('f', m[i])))
+def _relabel_into(acc: dict, num: int, key: tuple, m, extra=()) -> None:
+    """Add num times the term with this key, slot i moved to m[i] and the
+    deltas extra appended, to acc.  There are no bonds, so nothing needs
+    resolving."""
+    vecs, deltas, epses, dots, boxes = key
+    _freeze_into(acc, num, [(s, m[i]) for s, i in vecs],
+                 [(m[i], m[j]) for i, j in deltas] + list(extra), dots,
+                 _eps_like(epses, boxes, lambda i: ('f', m[i])))
 
 
 # ---------------------------------------------------------------------------
@@ -299,34 +309,17 @@ def vector_power(v, l: int) -> TensorPoly:
     return TensorPoly(l, (TensorTerm(Fraction(1), vecs),))
 
 
-def _combine(rank: int, pieces, scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """scale * the sum of w * p over the (w, p) in pieces, for rationals w, an
-    atom scale and TensorPolys p of the given rank whose nonzero ones share a
-    prefactor.
-
-    One pass: every term's numerator over one common denominator, summed by
-    monomial, and one Fraction per output term."""
-    pieces = [(Fraction(w), p) for w, p in pieces if w and p.terms]
-    if not pieces:
-        return TensorPoly(rank)
-    pf = pieces[0][1].prefactor
-    if any(p.prefactor != pf for _, p in pieces):
-        raise ValueError("cannot add polynomials with different prefactor shapes")
-    parts = [(w, *_numerators(p.terms), p.terms) for w, p in pieces]
-    den = math.lcm(*[w.denominator * d for w, d, _, _ in parts])
-    acc: dict = {}
-    for w, d, nums, terms in parts:
-        m = w.numerator * (den // (w.denominator * d))
-        for num, t in zip(nums, terms):
-            k = t.key
-            acc[k] = acc.get(k, 0) + m * num
-    return _from_numerators(rank, acc, den, atom_mul(pf, scale))
-
-
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     if p1.rank != p2.rank:
         raise ValueError(f"rank mismatch {p1.rank} vs {p2.rank}")
-    return _combine(p1.rank, [(1, p1), (1, p2)])
+    if p1.terms and p2.terms and p1.prefactor != p2.prefactor:
+        raise ValueError("cannot add polynomials with different prefactor shapes")
+    (rank, d1, n1), (_, d2, n2) = _thaw(p1), _thaw(p2)
+    den = math.lcm(d1, d2)
+    acc = {k: c * (den // d1) for k, c in n1.items()}
+    for k, c in n2.items():
+        acc[k] = acc.get(k, 0) + c * (den // d2)
+    return _from_numerators(rank, den, acc, p1.prefactor if p1.terms else p2.prefactor)
 
 
 def poly_neg(p: TensorPoly) -> TensorPoly:
@@ -352,34 +345,35 @@ def poly_scale(p: TensorPoly, factor) -> TensorPoly:
 
 def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping."""
-    den, nums = _numerators(p.terms)
+    rank, den, nums = _thaw(p)
     acc: dict = {}
-    for num, t in zip(nums, p.terms):
-        _relabel_into(acc, num, t, perm)
-    return _from_numerators(p.rank, acc, den, p.prefactor)
+    for key, num in nums.items():
+        _relabel_into(acc, num, key, perm)
+    return _from_numerators(rank, den, acc, p.prefactor)
 
 
 # ---------------------------------------------------------------------------
 # Contraction
 # ---------------------------------------------------------------------------
 
-def _split(t: TensorTerm, where: list, nb: int) -> tuple:
-    """One term of a contraction factor, read once: (vecs, deltas, signature).
+def _split(key: tuple, where: list, nb: int) -> tuple:
+    """One term key of a contraction factor, read once: (vecs, deltas, signature).
     The factors on surviving slots are relabelled to output slots, in slot
     order.  The signature is (occ, eps): occ[bond] is the occupant of that
     bond's contracted slot, a vector ('s', sym), the other end of a delta,
     ('f', slot) or ('b', bond), or a position ('e', pos) of the term's
     epsilon-like factor; eps holds that factor, if any."""
+    key_vecs, key_deltas, epses, _, boxes = key
     occ = [None] * nb
     vecs = []
-    for s, i in t.vecs:
+    for s, i in key_vecs:
         w = where[i]
         if w[0] == 'f':
             vecs.append((s, w[1]))
         else:
             occ[w[1]] = ('s', s)
     deltas = []
-    for i, j in t.deltas:
+    for i, j in key_deltas:
         wi, wj = where[i], where[j]
         if wi[0] == 'f' and wj[0] == 'f':
             deltas.append((wi[1], wj[1]))
@@ -388,7 +382,7 @@ def _split(t: TensorTerm, where: list, nb: int) -> tuple:
                 occ[wi[1]] = wj
             if wj[0] == 'b':
                 occ[wj[1]] = wi
-    eps = _eps_like(t, where.__getitem__)
+    eps = _eps_like(epses, boxes, where.__getitem__)
     for ep in eps:
         for pos, e in enumerate(ep):
             if e[0] == 'b':
@@ -396,16 +390,17 @@ def _split(t: TensorTerm, where: list, nb: int) -> tuple:
     return tuple(vecs), tuple(deltas), (tuple(occ), tuple(map(tuple, eps)))
 
 
-def _group(terms, nums, where: list, nb: int, syms: set) -> tuple:
-    """(groups, top) for one contraction factor: its terms read by _split and
-    grouped by signature, {signature: [(num, vecs, deltas, dots), ...]}, and
-    the largest dot exponent among them.  Every symbol that can end up in a
-    dot of the product is added to syms."""
+def _group(nums: dict, where: list, nb: int, syms: set) -> tuple:
+    """(groups, top) for one contraction factor, {key: numerator}: its terms
+    read by _split and grouped by signature, {signature: [(num, vecs, deltas,
+    dots), ...]}, and the largest dot exponent among them.  Every symbol that
+    can end up in a dot of the product is added to syms."""
     groups: dict = {}
     top = 0
-    for num, t in zip(nums, terms):
-        vecs, deltas, sig = _split(t, where, nb)
-        for s1, s2, e in t.dots:
+    for key, num in nums.items():
+        vecs, deltas, sig = _split(key, where, nb)
+        dots = key[3]
+        for s1, s2, e in dots:
             syms.add(s1)
             syms.add(s2)
             if e > top:
@@ -413,7 +408,7 @@ def _group(terms, nums, where: list, nb: int, syms: set) -> tuple:
         g = groups.get(sig)
         if g is None:
             groups[sig] = g = []
-        g.append((num, vecs, deltas, t.dots))
+        g.append((num, vecs, deltas, dots))
     for occ, eps in groups:
         syms.update([o[1] for o in occ if o[0] == 's'])
         for ep in eps:
@@ -531,22 +526,23 @@ def _unpacked(acc: dict, fields: list, width: int) -> dict:
     return out
 
 
-def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs,
-                   scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """Contract specific slot pairs (i in p1, j in p2), times the atom scale.
-    Surviving p1 slots come first (in order), then surviving p2 slots."""
+def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
+    """The raw contraction of raw polynomials x and y on specific slot pairs
+    (i in x, j in y), over the product of their denominators.  Surviving x
+    slots come first (in order), then surviving y slots."""
+    (rank1, den1, nums1), (rank2, den2, nums2) = x, y
     pairs = list(pairs)
     paired1 = {i for i, _ in pairs}
     paired2 = {j for _, j in pairs}
     if len(paired1) != len(pairs) or len(paired2) != len(pairs):
         raise ValueError("duplicate slot in contraction pairs")
-    if not (paired1 <= set(range(p1.rank)) and paired2 <= set(range(p2.rank))):
+    if not (paired1 <= set(range(rank1)) and paired2 <= set(range(rank2))):
         raise ValueError("contraction slot out of range")
-    free1 = [i for i in range(p1.rank) if i not in paired1]
-    free2 = [j for j in range(p2.rank) if j not in paired2]
+    free1 = [i for i in range(rank1) if i not in paired1]
+    free2 = [j for j in range(rank2) if j not in paired2]
     rank = len(free1) + len(free2)
-    where1 = [None] * p1.rank
-    where2 = [None] * p2.rank
+    where1 = [None] * rank1
+    where2 = [None] * rank2
     for n, i in enumerate(free1):
         where1[i] = ('f', n)
     for n, j in enumerate(free2):
@@ -554,11 +550,9 @@ def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs,
     for b, (i, j) in enumerate(pairs):
         where1[i] = where2[j] = ('b', b)
     nb = len(pairs)
-    den1, nums1 = _numerators(p1.terms)
-    den2, nums2 = _numerators(p2.terms)
     syms: set = set()
-    groups1, top1 = _group(p1.terms, nums1, where1, nb, syms)
-    groups2, top2 = _group(p2.terms, nums2, where2, nb, syms)
+    groups1, top1 = _group(nums1, where1, nb, syms)
+    groups2, top2 = _group(nums2, where2, nb, syms)
 
     # A dot monomial is one int, a field of `width` bits per symbol pair in
     # sorted pair order.  A product adds at most one dot per bond chain and
@@ -597,17 +591,34 @@ def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs,
                             key = (vecs, deltas, ep, code + dc, bx)
                         acc[key] = acc.get(key, 0) + num * f
 
-    return _from_numerators(rank, _unpacked(acc, fields, width), den1 * den2,
-                            atom_mul(atom_mul(p1.prefactor, p2.prefactor), scale))
+    return rank, den1 * den2, _unpacked(acc, fields, width)
+
+
+def _product_factor(p1: TensorPoly, p2: TensorPoly, scale: CoeffAtom) -> CoeffAtom:
+    return atom_mul(atom_mul(p1.prefactor, p2.prefactor), scale)
+
+
+def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs,
+                   scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """Contract specific slot pairs (i in p1, j in p2), times the atom scale.
+    Surviving p1 slots come first (in order), then surviving p2 slots."""
+    return _from_numerators(*_contract_raw(_thaw(p1), _thaw(p2), pairs),
+                            _product_factor(p1, p2, scale))
+
+
+def _bonds(rank1: int, rank2: int, k: int) -> list:
+    """The slot pairs joining the last k slots of a rank1 factor to the first
+    k slots of a rank2 factor."""
+    if k < 0 or k > min(rank1, rank2):
+        raise ValueError(f"cannot contract {k} slots of ranks {rank1},{rank2}")
+    return [(rank1 - k + t, t) for t in range(k)]
 
 
 def contract(p1: TensorPoly, p2: TensorPoly, k: int,
              scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
     """Contract the last k slots of p1 with the first k slots of p2 (k=0 is the
     outer product), times the atom scale."""
-    if k < 0 or k > min(p1.rank, p2.rank):
-        raise ValueError(f"cannot contract {k} slots of ranks {p1.rank},{p2.rank}")
-    return contract_slots(p1, p2, [(p1.rank - k + t, t) for t in range(k)], scale)
+    return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k), scale)
 
 
 def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
@@ -616,27 +627,34 @@ def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     return contract(p1, p2, p1.rank)
 
 
+def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
+    """The raw contraction of the last k slots of raw a with the first k of raw
+    b, for symmetric traceless a and b, without the products that sum to zero.
+
+    A term of b with a delta joining two contracted slots meets a trace of a,
+    so summed over all of a's terms it gives exactly zero; likewise a term of
+    a with a delta inside a's last k slots.  Only one side is pruned, the one
+    that removes more products (b on a tie): dropping b's terms relies on a
+    being whole, and vice versa, so pruning both is wrong (Y[2](a).Y[2](b)
+    would lose its -3/4 term)."""
+    (rank1, den1, nums1), (rank2, den2, nums2) = a, b
+    pairs = _bonds(rank1, rank2, k)
+    lo = rank1 - k
+    keep_a = {key: c for key, c in nums1.items() if not any(i >= lo for i, _ in key[1])}
+    keep_b = {key: c for key, c in nums2.items() if not any(j < k for _, j in key[1])}
+    if (len(nums2) - len(keep_b)) * len(nums1) >= (len(nums1) - len(keep_a)) * len(nums2):
+        b = (rank2, den2, keep_b)
+    else:
+        a = (rank1, den1, keep_a)
+    return _contract_raw(a, b, pairs)
+
+
 def traceless_contract(A: TensorPoly, B: TensorPoly, k: int,
                        scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """contract(A, B, k, scale) for symmetric traceless A and B, without the
-    products that sum to zero.
-
-    Precondition: A and B are both STF.  A term of B with a delta joining two
-    contracted slots meets a trace of A, so summed over all of A's terms it
-    gives exactly zero; likewise a term of A with a delta inside A's last k
-    slots.  Only one side is pruned, the one that removes more products (B on
-    a tie): dropping B's terms relies on A being whole, and vice versa, so
-    pruning both is wrong (Y[2](a).Y[2](b) would lose its -3/4 term).
-    """
-    lo = A.rank - k
-    keep_a = tuple(t for t in A.terms if not any(i >= lo for i, _ in t.deltas))
-    keep_b = tuple(t for t in B.terms if not any(j < k for _, j in t.deltas))
-    if ((len(B.terms) - len(keep_b)) * len(A.terms)
-            >= (len(A.terms) - len(keep_a)) * len(B.terms)):
-        B = TensorPoly(B.rank, keep_b, B.prefactor)
-    else:
-        A = TensorPoly(A.rank, keep_a, A.prefactor)
-    return contract(A, B, k, scale)
+    """contract(A, B, k, scale) for symmetric traceless A and B (a
+    precondition), without the products that sum to zero; see _traceless_raw."""
+    return _from_numerators(*_traceless_raw(_thaw(A), _thaw(B), k),
+                            _product_factor(A, B, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -664,19 +682,15 @@ def embed_count(total_rank: int, group_sizes, r: int) -> int:
     return n
 
 
-def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
-                      total_rank: int) -> TensorPoly:
-    """Distribute total_rank free slots over the core's slot groups plus r
-    Kronecker deltas, summing over distinct distributions.
-
-    The core's slots must be grouped consecutively (group 0 first) and the core
-    must be symmetric within each group; distributions assign each group an
-    unordered slot set and pair the remaining 2r slots into deltas.
-    """
+def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
+                weight: int) -> None:
+    """Add weight times each term of the symmetrized embedding of the raw
+    polynomial core (see symmetrized_embed) to acc.  The caller picks the int
+    weight so that the numerators in acc share one denominator."""
     group_sizes = list(group_sizes)
-    if core.rank != sum(group_sizes):
+    if core[0] != sum(group_sizes):
         raise ValueError("group sizes must cover the core rank")
-    if total_rank != core.rank + 2 * r:
+    if total_rank != core[0] + 2 * r:
         raise ValueError("total rank inconsistent with delta count")
     distributions = []
 
@@ -700,16 +714,29 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
     for g in group_sizes:
         offsets.append(off)
         off += g
-    den, nums = _numerators(core.terms)
-    acc: dict = {}
+    items = [(key, weight * num) for key, num in core[2].items()]
     for chosen, pr in distributions:
         m = {}
         for gi, combo in enumerate(chosen):
             for local, slot in enumerate(sorted(combo)):
                 m[offsets[gi] + local] = slot
-        for num, t in zip(nums, core.terms):
-            _relabel_into(acc, num, t, m, pr)
-    return _from_numerators(total_rank, acc, den, core.prefactor)
+        for key, num in items:
+            _relabel_into(acc, num, key, m, pr)
+
+
+def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
+                      total_rank: int) -> TensorPoly:
+    """Distribute total_rank free slots over the core's slot groups plus r
+    Kronecker deltas, summing over distinct distributions.
+
+    The core's slots must be grouped consecutively (group 0 first) and the core
+    must be symmetric within each group; distributions assign each group an
+    unordered slot set and pair the remaining 2r slots into deltas.
+    """
+    raw = _thaw(core)
+    acc: dict = {}
+    _embed_into(acc, raw, group_sizes, r, total_rank, 1)
+    return _from_numerators(total_rank, raw[1], acc, core.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +745,13 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
 
 @lru_cache(maxsize=None)
 def _harmonic_cached(name: str, l: int) -> TensorPoly:
-    return _combine(l, [
-        (Fraction((-1) ** r * double_factorial(2 * l - 2 * r - 1), factorial(l)),
-         symmetrized_embed(vector_power(name, l - 2 * r), [l - 2 * r], r, l))
-        for r in range(l // 2 + 1)])
+    """The sum over r of (-1)^r (2l-2r-1)!!/l! times v^(l-2r) symmetrized with
+    r deltas, embedded into one accumulator over l! and frozen once."""
+    acc: dict = {}
+    for r in range(l // 2 + 1):
+        _embed_into(acc, _thaw(vector_power(name, l - 2 * r)), [l - 2 * r], r, l,
+                    (-1) ** r * double_factorial(2 * l - 2 * r - 1))
+    return _from_numerators(l, factorial(l), acc)
 
 
 def harmonic_tensor(v, l: int) -> TensorPoly:
@@ -779,27 +809,36 @@ def odd_norm(l1: int, l2: int, l3: int) -> Fraction:
     )
 
 
-_EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
+# The raw rank-3 epsilon eps_ijk.
+_EPS3 = (3, 1, {((), (), ((('f', 0), ('f', 1), ('f', 2)),), (), ()): 1})
 
 
 def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
                   norm: Fraction, scale: CoeffAtom) -> TensorPoly:
-    """scale * norm * sum over r of the rank-l3 pieces of A and B for the given
-    parity of l1+l2-l3: A and B contracted on k+r slot pairs, for odd parity
-    an epsilon hooked to one free slot of each, then r deltas symmetrized in."""
+    """scale * norm * sum over r of c_r times the rank-l3 pieces of A and B for
+    the given parity of l1+l2-l3: A and B contracted on k+r slot pairs, for
+    odd parity an epsilon hooked to one free slot of each, then r deltas
+    symmetrized in.  Every step stays raw; the node is frozen once."""
     l1, l2 = A.rank, B.rank
     k = (l1 + l2 - l3 - parity) // 2
+    a, b = _thaw(A), _thaw(B)
     pieces = []
     for r in range(min(l1, l2) - k - parity + 1):
-        core = traceless_contract(A, B, k + r)
+        core = _traceless_raw(a, b, k + r)
         g1, g2 = l1 - k - r - parity, l2 - k - r - parity
         if parity:
             # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
-            core = contract_slots(_EPS3, core, [(1, g1), (2, g1 + 1)])
+            core = _contract_raw(_EPS3, core, [(1, g1), (2, g1 + 1)])
         c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
                      double_factorial(2 * l3 - 1))
-        pieces.append((c, symmetrized_embed(core, [1] * parity + [g1, g2], r, l3)))
-    return _combine(l3, pieces, atom_mul(scale, CoeffAtom(norm)))
+        pieces.append((c, core, [1] * parity + [g1, g2], r))
+    den = math.lcm(*[c.denominator * core[1] for c, core, _, _ in pieces])
+    acc: dict = {}
+    for c, core, groups, r in pieces:
+        _embed_into(acc, core, groups, r, l3,
+                    c.numerator * (den // (c.denominator * core[1])))
+    return _from_numerators(l3, den, acc,
+                            _product_factor(A, B, atom_mul(scale, CoeffAtom(norm))))
 
 
 def couple_even(A: TensorPoly, B: TensorPoly, l3: int,

@@ -1,11 +1,13 @@
 """Constructions that only the tests use: a cross product, the closed-form
-pair-coupling constant, the odd-coupling normalization found by probing and
-float Clebsch-Gordan values."""
+pair-coupling constant, the coupling sum built step by step from public
+operations, the odd-coupling normalization found by probing and float
+Clebsch-Gordan values."""
 
 from fractions import Fraction
 from functools import lru_cache
 
-from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, double_factorial, factorial
+from cartensor.coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, double_factorial,
+                            factorial)
 from cartensor.tensor import (TensorPoly, TensorTerm, contract, contract_slots,
                               harmonic_tensor, poly_add, poly_scale,
                               symmetrized_embed, traceless_contract, vector_power)
@@ -39,6 +41,27 @@ def couple_constant(l1: int, l2: int, l3: int) -> CoeffAtom:
 _EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
 
 
+def reference_coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
+                           norm: Fraction, scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """scale * norm * the sum over r of the rank-l3 pieces of A and B, as
+    tensor._coupling_sum defines it, built one public operation at a time:
+    every contraction, epsilon hook, embedding and partial sum is a
+    TensorPoly of its own."""
+    l1, l2 = A.rank, B.rank
+    k = (l1 + l2 - l3 - parity) // 2
+    T = TensorPoly(l3)
+    for r in range(min(l1, l2) - k - parity + 1):
+        core = traceless_contract(A, B, k + r)
+        g1, g2 = l1 - k - r - parity, l2 - k - r - parity
+        if parity:
+            # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
+            core = contract_slots(_EPS3, core, [(1, g1), (2, g1 + 1)])
+        c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
+                     double_factorial(2 * l3 - 1))
+        T = poly_add(T, poly_scale(symmetrized_embed(core, [1] * parity + [g1, g2], r, l3), c))
+    return poly_scale(T, atom_mul(scale, CoeffAtom(norm)))
+
+
 def odd_norm_probe(l1: int, l2: int, l3: int) -> Fraction:
     """The normalization N of couple_odd, found on the harmonic-tensor
     instance rather than from its closed form.
@@ -47,17 +70,8 @@ def odd_norm_probe(l1: int, l2: int, l3: int) -> Fraction:
     normalization and contracts it with a x ... x a (l3-1 factors).  That must
     give w * (polynomial in a.b) * (a x b); N = 1/w(a.b=1), and the orientation
     requirement w(1) > 0 pins the sign."""
-    A, B = harmonic_tensor('a', l1), harmonic_tensor('b', l2)
-    k = (l1 + l2 - l3 - 1) // 2
-    T = TensorPoly(l3)
-    for r in range(min(l1, l2) - k):
-        c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
-                     double_factorial(2 * l3 - 1))
-        D = traceless_contract(A, B, k + r)
-        gA, gB = l1 - k - r - 1, l2 - k - r - 1
-        # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
-        E = contract_slots(_EPS3, D, [(1, gA), (2, gA + 1)])
-        T = poly_add(T, poly_scale(symmetrized_embed(E, [1, gA, gB], r, l3), c))
+    T = reference_coupling_sum(harmonic_tensor('a', l1), harmonic_tensor('b', l2),
+                               l3, 1, Fraction(1))
     W = contract(T, vector_power('a', l3 - 1), l3 - 1)
     for t in W.terms:
         if t.epses != ((('f', 0), ('s', 'a'), ('s', 'b')),) or t.deltas or t.vecs or t.boxes:

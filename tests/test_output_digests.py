@@ -3,10 +3,12 @@
 tests/data/output_digests.json holds, for each of the 103 benchmark
 couplings (the bundled corpus, the 50 random couplings and the high-degree
 set, in that order), the expression and the sha256 of
-render_text + render_latex + render_json of its reduction.  PROBES adds three
-many-vector couplings, where a contraction has many terms per side sharing
-slot signatures, pinned the same way.  A change that alters any output byte
-fails here and names the coupling.
+render_text + render_latex + render_json of its reduction.  PROBES pins, the
+same way, three many-vector couplings, where a contraction has many terms per
+side sharing slot signatures, and three degree-4 pairs whose coupling node
+sums several r pieces into a rank-4 to rank-8 root (one of them odd, through
+the epsilon hook), which the benchmark sets do not reach.  A change that
+alters any output byte fails here and names the coupling.
 """
 
 import hashlib
@@ -27,6 +29,12 @@ PROBES = {
         "ea031253c1bcc87de50fa4d4a567636160059a3958dc215b9a071cc6b9b95ff7",
     "[[Y[3](a) x Y[3](b)][5] x [Y[3](c) x Y[3](d)][5]][2]":
         "5895af84f69d33e099f74e9fad3f0556ecc479e0e6416e456fc817545d663b47",
+    "[Y[4](a) x Y[4](b)][4]":
+        "d08308c19e1f9465bfc14e29445f633ae903147fff8442991b483b3153c78696",
+    "[Y[3](a) x Y[4](b)][6]":
+        "a9572db9eff5f31e32a648cf9ecc56a48fb0f55f23168f44de66cd9b39186637",
+    "[Y[4](a) x Y[4](b)][8]":
+        "c08bee47f88c259b95da694e3bb0dd34892ace34840f78cd75614a49d23c0946",
 }
 
 
