@@ -157,11 +157,13 @@ def _shape(a: CoeffAtom) -> CoeffAtom:
 
 
 # ---------------------------------------------------------------------------
-# Raw terms: the parts of a product before it is frozen into a TensorTerm
+# Raw polynomials and raw terms
 # ---------------------------------------------------------------------------
-# A raw term is an int numerator (over one denominator per call), vectors
+# A raw polynomial (rank, den, {TensorTerm key: int numerator}) holds
+# canonical keys only.  A raw term is one product before its key is
+# canonical: an int numerator (over the call's denominator), vectors
 # (sym, slot) and deltas (i, j) on output slots, a canonical dots tuple (in
-# contract_slots, a packed int until the end), and a
+# _contract_raw, a packed int until the end), and a
 # list of at most two epsilon-like factors: an epsilon, or a box held as an
 # all-symbol epsilon until freezing, as a list of entries ('f', slot),
 # ('s', sym) or ('b', ...).  ('b', bond) marks a contracted slot until its
@@ -595,6 +597,7 @@ def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
 
 
 def _product_factor(p1: TensorPoly, p2: TensorPoly, scale: CoeffAtom) -> CoeffAtom:
+    """The atom a product of p1 and p2, times scale, is frozen with."""
     return atom_mul(atom_mul(p1.prefactor, p2.prefactor), scale)
 
 
