@@ -9,7 +9,7 @@ from .wigner import clebsch_gordan, three_j
 from .tensor import TensorPoly, TensorTerm, harmonic_tensor, couple_even, couple_odd
 from .reduce import Couple, Harmonic, ReductionResult, reduce_expr
 from .parser import parse, render_json, render_latex, render_text
-from .oracle import VerifyReport, eval_expr, reduce_pair_identities, verify, ylm
+from .oracle import VerifyReport, eval_expr, verify, ylm
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,6 @@ __all__ = [
     "TensorPoly", "TensorTerm", "harmonic_tensor", "couple_even", "couple_odd",
     "Couple", "Harmonic", "ReductionResult", "reduce_expr",
     "parse", "render_json", "render_latex", "render_text",
-    "VerifyReport", "eval_expr", "reduce_pair_identities", "verify", "ylm",
+    "VerifyReport", "eval_expr", "verify", "ylm",
     "__version__",
 ]

@@ -13,6 +13,10 @@ values come from floating-point recurrences, and its Clebsch-Gordan
 coefficients from diagonalising the total J^2 in the product basis (``cg``),
 never from the engine's Racah sum or its coefficients.
 
+Each symbol's samples come from one random stream of its own, a keyed child
+of the seed (``sample_unit_vectors``), so sample i is the same whatever the
+sample count, redraws of near-zero draws included.
+
 Terms that share a tensor structure are evaluated as one block.  For a
 rank-L root verify projects each delta-free block onto the 2L+1 spherical
 components through the bridge ``u_matrix(L)``, so it never builds the rank-L
@@ -24,14 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .coeff import double_factorial, factorial
-from .reduce import (Couple, CouplingExpr, Harmonic, ReductionResult,
-                     expr_leaves, reduce_expr)
+from .reduce import (CouplingExpr, Harmonic, ReductionResult, expr_leaves,
+                     reduce_expr)
 from .tensor import TensorPoly
 
 DEFAULT_SEED = 20240831
@@ -47,55 +50,28 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 # Sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitVector:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"not a unit vector (norm {n})")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @staticmethod
-    def from_array(a) -> "UnitVector":
-        a = np.asarray(a, dtype=float)
-        a = a / np.linalg.norm(a)
-        return UnitVector(float(a[0]), float(a[1]), float(a[2]))
-
-
 def sample_unit_vectors(seed: int, n: int, symbols) -> dict:
     """Independent uniform unit vectors, one (n, 3) array per symbol.
 
-    Each sample row is drawn from its own child generator seeded [seed, i],
-    so sample i is reproducible independently of how many samples are taken.
-    The symbols of a sample are drawn in sorted order as one (k, 3) block.
+    Symbol j, in sorted order, draws all its rows in one call from its own
+    stream, the child of seed keyed (j,); no stream is default_rng(seed)
+    itself.  The stream is read row by row, so row i never depends on n.  A
+    near-zero row i is drawn again from the child keyed (j, i), so a redraw
+    keeps that too: the first n rows of a larger call equal a call with n.
     """
-    symbols = sorted(symbols)
-    seed, k = int(seed), len(symbols)
-    draws = np.empty((k, n, 3))
-    for i in range(n):
-        draws[:, i] = np.random.default_rng([seed, i]).normal(size=(k, 3))
-    # A near-zero row is drawn again from the rest of its sample's stream.
-    for i in np.flatnonzero((np.linalg.norm(draws, axis=2) < 1e-8).any(axis=0)):
-        rng = np.random.default_rng([seed, int(i)])
-        v = rng.normal(size=(k, 3))
-        while (small := np.linalg.norm(v, axis=1) < 1e-8).any():
-            v[small] = rng.normal(size=(int(small.sum()), 3))
-        draws[:, i] = v
-    draws /= np.linalg.norm(draws, axis=2, keepdims=True)
-    return dict(zip(symbols, draws))
+    seed, out = int(seed), {}
+    for j, s in enumerate(sorted(symbols)):
+        v = _stream(seed, j).normal(size=(n, 3))
+        for i in np.flatnonzero(np.linalg.norm(v, axis=1) < 1e-8):
+            rng = _stream(seed, j, int(i))
+            while np.linalg.norm(v[i]) < 1e-8:
+                v[i] = rng.normal(size=3)
+        out[s] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return out
 
 
-def _coerce_vec(v) -> np.ndarray:
-    if isinstance(v, UnitVector):
-        return v.array
-    return np.asarray(v, dtype=float)
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +153,7 @@ def ylm(l: int, m: int, v) -> complex:
     """Single contrastandard spherical-harmonic component at a unit vector."""
     if abs(m) > l:
         raise ValueError("|m| must not exceed l")
-    arr = _coerce_vec(v).reshape(1, 3)
+    arr = np.asarray(v, dtype=float).reshape(1, 3)
     return complex(_ylm_matrix(l, arr)[l + m, 0])
 
 
@@ -204,7 +180,7 @@ def eval_expr_components(expr: CouplingExpr, vecs: dict) -> np.ndarray:
 
 def eval_expr(expr: CouplingExpr, assignment: dict) -> np.ndarray:
     """Components m = -L..L at a single configuration; shape (2L+1,)."""
-    vecs = {s: _coerce_vec(v).reshape(1, 3) for s, v in assignment.items()}
+    vecs = {s: np.asarray(v, dtype=float).reshape(1, 3) for s, v in assignment.items()}
     return eval_expr_components(expr, vecs)[:, 0]
 
 
@@ -474,104 +450,3 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
                         passed=passed, max_rel_err=rel,
                         worst={"sample": int(sample),
                                "m": int(row) - (abs_err.shape[0] - 1) // 2})
-
-
-# ---------------------------------------------------------------------------
-# Legendre utilities
-# ---------------------------------------------------------------------------
-
-def legendre(n: int, x):
-    """P_n(x), vectorized; n = -1 returns 1 by convention."""
-    x = np.asarray(x, dtype=float)
-    if n <= 0:
-        return np.ones_like(x)
-    pprev = np.ones_like(x)
-    pcur = x.copy()
-    for k in range(2, n + 1):
-        pprev, pcur = pcur, ((2 * k - 1) * x * pcur - (k - 1) * pprev) / k
-    return pcur
-
-
-def legendre_prime(n: int, x):
-    """d/dx P_n(x), vectorized; n = -1 returns 0 by convention."""
-    x = np.asarray(x, dtype=float)
-    if n <= 0:
-        return np.zeros_like(x)
-    dprev = np.zeros_like(x)  # P'_0
-    pprev = np.ones_like(x)   # P_0
-    pcur = x.copy()           # P_1
-    dcur = np.ones_like(x)    # P'_1
-    for k in range(2, n + 1):
-        dprev, dcur = dcur, dprev + (2 * k - 1) * pcur
-        pprev, pcur = pcur, ((2 * k - 1) * x * pcur - (k - 1) * pprev) / k
-    return dcur
-
-
-def legendre_coeffs(l: int) -> dict:
-    """Exact monomial coefficients of P_l as {power: Fraction}."""
-    out = {}
-    for k in range(l // 2 + 1):
-        c = Fraction((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l),
-                     2 ** l)
-        out[l - 2 * k] = c
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Closed-form rank-1 pair identities
-# ---------------------------------------------------------------------------
-
-def reduce_pair_identities(l1: int, l2: int, samples: int = 50,
-                           seed: int | None = None) -> dict:
-    """Numerically confirm the closed rank-1 forms for [Y^[l1](a) x Y^[l2](b)][1].
-
-    Two families are covered: equal degrees (l, l), whose value is
-      (-i/4pi) sqrt(3(2l+1)/(l(l+1))) P_l'(a.b) (a x b)_m,
-    and consecutive degrees (l-1, l), whose value is
-      (-i/4pi) sqrt(3/l) [P_l'(a.b) b_m - ((l-1) P_{l-2}(a.b)
-                          + (a.b) P_{l-2}'(a.b)) a_m],
-    with standard spherical components on the right-hand sides and the
-    conventions P_{-1} = 1, P_{-1}' = 0.  Returns a small report dict; the
-    comparison is against the direct oracle evaluation of the coupled
-    harmonics, so it is independent of the symbolic engine.
-    """
-    if l1 == l2 and l1 >= 1:
-        form = "equal"
-        l = l1
-    elif l2 == l1 + 1:
-        form = "consecutive"
-        l = l2
-    else:
-        raise ValueError("supported pairs: (l, l) with l>=1, or (l-1, l)")
-    if seed is None:
-        seed = DEFAULT_SEED
-    expr = Couple(Harmonic(l1, 'a'), Harmonic(l2, 'b'), 1)
-    vecs = sample_unit_vectors(seed, samples, ['a', 'b'])
-    a, b = vecs['a'], vecs['b']
-    x = np.sum(a * b, axis=1)
-    direct = eval_expr_components(expr, vecs)  # shape (3, samples), m=-1,0,1
-
-    def std_components(v):
-        # standard spherical components of a real vector, rows m = -1, 0, +1
-        return np.stack([
-            (v[:, 0] - 1j * v[:, 1]) / np.sqrt(2.0),
-            v[:, 2] + 0j,
-            -(v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0),
-        ])
-
-    if form == "equal":
-        pref = -1j / (4 * np.pi) * np.sqrt(3 * (2 * l + 1) / (l * (l + 1)))
-        cross = np.cross(a, b)
-        closed = pref * legendre_prime(l, x) * std_components(cross)
-    else:
-        pref = -1j / (4 * np.pi) * np.sqrt(3 / l)
-        closed = pref * (
-            legendre_prime(l, x) * std_components(b)
-            - ((l - 1) * legendre(l - 2, x)
-               + x * legendre_prime(l - 2, x)) * std_components(a))
-
-    err = float(np.max(np.abs(direct - closed)))
-    return {
-        "l1": l1, "l2": l2, "form": form, "samples": samples, "seed": seed,
-        "max_abs_err": err, "pass": err <= 1e-10,
-    }

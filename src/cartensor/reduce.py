@@ -116,18 +116,19 @@ def validate_expr(expr: CouplingExpr) -> None:
         if leaf.v in seen:
             raise InvalidExpr(f"vector symbol '{leaf.v}' used more than once", leaf)
         seen.add(leaf.v)
+    _check_triangles(expr)
 
-    def rec(node):
-        if isinstance(node, Harmonic):
-            return node.l
-        l1, l2 = rec(node.left), rec(node.right)
-        if not triangle_ok(l1, l2, node.L):
-            raise InvalidExpr(
-                f"triangle rule violated: cannot couple ranks ({l1},{l2}) to {node.L}",
-                node)
-        return node.L
 
-    rec(expr)
+def _check_triangles(node: CouplingExpr) -> int:
+    """The node's rank, after checking the triangle rule below it."""
+    if isinstance(node, Harmonic):
+        return node.l
+    l1, l2 = _check_triangles(node.left), _check_triangles(node.right)
+    if not triangle_ok(l1, l2, node.L):
+        raise InvalidExpr(
+            f"triangle rule violated: cannot couple ranks ({l1},{l2}) to {node.L}",
+            node)
+    return node.L
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +223,27 @@ def reduce_expr(expr: CouplingExpr) -> ReductionResult:
     """Reduce an expression tree to its exact Cartesian polynomial."""
     validate_expr(expr)
     trace: list = []
-
-    def walk(node: CouplingExpr, is_root: bool) -> TensorPoly:
-        if isinstance(node, Harmonic):
-            return harmonic_tensor(node.v, node.l)
-        pl = walk(node.left, False)
-        pr = walk(node.right, False)
-        l1, l2, L = pl.rank, pr.rank, node.L
-        if is_root and L == 0:
-            f = s_factor(l1)
-            trace.append((f"S[{l1}]", f))
-            return traceless_contract(pl, pr, l1, f)
-        if (l1 + l2 + L) % 2 == 0:
-            f = q_factor(l1, l2, L)
-            trace.append((f"q[{l1},{l2},{L}]", f))
-            return couple_even(pl, pr, L, f)
-        f = r_factor(l1, l2, L)
-        trace.append((f"r[{l1},{l2},{L}]", f))
-        return couple_odd(pl, pr, L, f)
-
-    poly = walk(expr, True)
+    poly = _reduce_node(expr, True, trace)
     parity = "odd" if (expr_degree_sum(expr) - poly.rank) % 2 else "even"
     true_scalar = isinstance(expr, Couple) and expr.L == 0
     return ReductionResult(expr, poly, parity, tuple(trace), true_scalar)
+
+
+def _reduce_node(node: CouplingExpr, is_root: bool, trace: list) -> TensorPoly:
+    """The node's polynomial; appends each factor it applies to trace."""
+    if isinstance(node, Harmonic):
+        return harmonic_tensor(node.v, node.l)
+    pl = _reduce_node(node.left, False, trace)
+    pr = _reduce_node(node.right, False, trace)
+    l1, l2, L = pl.rank, pr.rank, node.L
+    if is_root and L == 0:
+        f = s_factor(l1)
+        trace.append((f"S[{l1}]", f))
+        return traceless_contract(pl, pr, l1, f)
+    if (l1 + l2 + L) % 2 == 0:
+        f = q_factor(l1, l2, L)
+        trace.append((f"q[{l1},{l2},{L}]", f))
+        return couple_even(pl, pr, L, f)
+    f = r_factor(l1, l2, L)
+    trace.append((f"r[{l1},{l2},{L}]", f))
+    return couple_odd(pl, pr, L, f)

@@ -685,6 +685,18 @@ def embed_count(total_rank: int, group_sizes, r: int) -> int:
     return n
 
 
+def _distributions(remaining: tuple, group_sizes: list, chosen: list):
+    """Yield (slot sets, delta pairing) for every way to give the groups past
+    those in chosen a slot set each from remaining and pair the slots left."""
+    if len(chosen) == len(group_sizes):
+        for pr in _pairings(list(remaining)):
+            yield list(chosen), pr
+        return
+    for combo in itertools.combinations(remaining, group_sizes[len(chosen)]):
+        yield from _distributions(tuple(s for s in remaining if s not in combo),
+                                  group_sizes, chosen + [combo])
+
+
 def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
                 weight: int) -> None:
     """Add weight times each term of the symmetrized embedding of the raw
@@ -695,18 +707,7 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
         raise ValueError("group sizes must cover the core rank")
     if total_rank != core[0] + 2 * r:
         raise ValueError("total rank inconsistent with delta count")
-    distributions = []
-
-    def rec(remaining, chosen):
-        if len(chosen) == len(group_sizes):
-            for pr in _pairings(list(remaining)):
-                distributions.append((list(chosen), pr))
-            return
-        g = group_sizes[len(chosen)]
-        for combo in itertools.combinations(remaining, g):
-            rec(tuple(s for s in remaining if s not in combo), chosen + [combo])
-
-    rec(tuple(range(total_rank)), [])
+    distributions = list(_distributions(tuple(range(total_rank)), group_sizes, []))
     expected = embed_count(total_rank, group_sizes, r)
     if len(distributions) != expected:
         raise AssertionError(

@@ -1,16 +1,23 @@
 """Constructions that only the tests use: a cross product, the closed-form
 pair-coupling constant, the coupling sum built step by step from public
-operations, the odd-coupling normalization found by probing and float
-Clebsch-Gordan values."""
+operations, the odd-coupling normalization found by probing, float
+Clebsch-Gordan values, a checked unit-vector type, Legendre polynomials and
+the closed rank-1 pair identities checked against the oracle."""
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from cartensor.coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, double_factorial,
                             factorial)
 from cartensor.tensor import (TensorPoly, TensorTerm, contract, contract_slots,
                               harmonic_tensor, poly_add, poly_scale,
                               symmetrized_embed, traceless_contract, vector_power)
+from cartensor.oracle import DEFAULT_SEED, eval_expr_components, sample_unit_vectors
+from cartensor.reduce import Couple, Harmonic
 from cartensor.wigner import clebsch_gordan
 
 
@@ -88,3 +95,112 @@ def odd_norm_probe(l1: int, l2: int, l3: int) -> Fraction:
 def cg_float(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     """Float Clebsch-Gordan value."""
     return float(clebsch_gordan(l1, m1, l2, m2, l3, m3).to_float())
+
+
+@dataclass(frozen=True)
+class UnitVector:
+    """A 3-vector of norm 1 (to 1e-12); numpy reads it as its components."""
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        if abs(n - 1.0) > 1e-12:
+            raise ValueError(f"not a unit vector (norm {n})")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.x, self.y, self.z], dtype=dtype)
+
+
+def legendre(n: int, x):
+    """P_n(x), vectorized; n = -1 returns 1 by convention."""
+    x = np.asarray(x, dtype=float)
+    if n <= 0:
+        return np.ones_like(x)
+    pprev = np.ones_like(x)
+    pcur = x.copy()
+    for k in range(2, n + 1):
+        pprev, pcur = pcur, ((2 * k - 1) * x * pcur - (k - 1) * pprev) / k
+    return pcur
+
+
+def legendre_prime(n: int, x):
+    """d/dx P_n(x), vectorized; n = -1 returns 0 by convention."""
+    x = np.asarray(x, dtype=float)
+    if n <= 0:
+        return np.zeros_like(x)
+    dprev = np.zeros_like(x)  # P'_0
+    pprev = np.ones_like(x)   # P_0
+    pcur = x.copy()           # P_1
+    dcur = np.ones_like(x)    # P'_1
+    for k in range(2, n + 1):
+        dprev, dcur = dcur, dprev + (2 * k - 1) * pcur
+        pprev, pcur = pcur, ((2 * k - 1) * x * pcur - (k - 1) * pprev) / k
+    return dcur
+
+
+def legendre_coeffs(l: int) -> dict:
+    """Exact monomial coefficients of P_l as {power: Fraction}."""
+    out = {}
+    for k in range(l // 2 + 1):
+        c = Fraction((-1) ** k * math.comb(l, k) * math.comb(2 * l - 2 * k, l),
+                     2 ** l)
+        out[l - 2 * k] = c
+    return out
+
+
+def reduce_pair_identities(l1: int, l2: int, samples: int = 50,
+                           seed: int | None = None) -> dict:
+    """Numerically confirm the closed rank-1 forms for [Y^[l1](a) x Y^[l2](b)][1].
+
+    Two families are covered: equal degrees (l, l), whose value is
+      (-i/4pi) sqrt(3(2l+1)/(l(l+1))) P_l'(a.b) (a x b)_m,
+    and consecutive degrees (l-1, l), whose value is
+      (-i/4pi) sqrt(3/l) [P_l'(a.b) b_m - ((l-1) P_{l-2}(a.b)
+                          + (a.b) P_{l-2}'(a.b)) a_m],
+    with standard spherical components on the right-hand sides and the
+    conventions P_{-1} = 1, P_{-1}' = 0.  Returns a small report dict; the
+    comparison is against the direct oracle evaluation of the coupled
+    harmonics, so it is independent of the symbolic engine.
+    """
+    if l1 == l2 and l1 >= 1:
+        form = "equal"
+        l = l1
+    elif l2 == l1 + 1:
+        form = "consecutive"
+        l = l2
+    else:
+        raise ValueError("supported pairs: (l, l) with l>=1, or (l-1, l)")
+    if seed is None:
+        seed = DEFAULT_SEED
+    expr = Couple(Harmonic(l1, 'a'), Harmonic(l2, 'b'), 1)
+    vecs = sample_unit_vectors(seed, samples, ['a', 'b'])
+    a, b = vecs['a'], vecs['b']
+    x = np.sum(a * b, axis=1)
+    direct = eval_expr_components(expr, vecs)  # shape (3, samples), m=-1,0,1
+
+    def std_components(v):
+        # standard spherical components of a real vector, rows m = -1, 0, +1
+        return np.stack([
+            (v[:, 0] - 1j * v[:, 1]) / np.sqrt(2.0),
+            v[:, 2] + 0j,
+            -(v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0),
+        ])
+
+    if form == "equal":
+        pref = -1j / (4 * np.pi) * np.sqrt(3 * (2 * l + 1) / (l * (l + 1)))
+        cross = np.cross(a, b)
+        closed = pref * legendre_prime(l, x) * std_components(cross)
+    else:
+        pref = -1j / (4 * np.pi) * np.sqrt(3 / l)
+        closed = pref * (
+            legendre_prime(l, x) * std_components(b)
+            - ((l - 1) * legendre(l - 2, x)
+               + x * legendre_prime(l - 2, x)) * std_components(a))
+
+    err = float(np.max(np.abs(direct - closed)))
+    return {
+        "l1": l1, "l2": l2, "form": form, "samples": samples, "seed": seed,
+        "max_abs_err": err, "pass": err <= 1e-10,
+    }

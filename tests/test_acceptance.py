@@ -32,11 +32,8 @@ import pytest
 from cartensor.cli import _default_corpus_path, _load_corpus
 from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul
 from cartensor.oracle import (
-    UnitVector,
     eval_expr,
     eval_poly_batch,
-    legendre_coeffs,
-    reduce_pair_identities,
     sample_unit_vectors,
     u_matrix,
     verify,
@@ -67,7 +64,8 @@ from cartensor.tensor import (
     vector_power,
 )
 
-from helpers import cg_float, couple_constant
+from helpers import (UnitVector, cg_float, couple_constant, legendre_coeffs,
+                     reduce_pair_identities)
 
 CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
                   for e in _load_corpus(_default_corpus_path())]

@@ -11,13 +11,9 @@ from cartensor import oracle
 from cartensor.coeff import atom
 from cartensor.oracle import (
     DEFAULT_SEED,
-    UnitVector,
     cg,
     eval_expr_components,
     eval_poly_batch,
-    legendre,
-    legendre_coeffs,
-    legendre_prime,
     rho_float,
     sample_unit_vectors,
     u_matrix,
@@ -28,6 +24,8 @@ from cartensor.parser import parse
 from cartensor.reduce import Couple, Harmonic, reduce_expr
 from cartensor.tensor import TensorPoly, TensorTerm, harmonic_tensor, poly_add, poly_scale
 from cartensor.wigner import three_j
+
+from helpers import UnitVector, legendre, legendre_coeffs, legendre_prime
 
 Z_HAT = UnitVector(0.0, 0.0, 1.0)
 
@@ -114,30 +112,54 @@ class TestSampling:
         assert not np.allclose(d["a"], d["b"])
 
     def test_near_zero_draw_is_redrawn(self, monkeypatch):
-        plain = sample_unit_vectors(9, 6, ["a", "b"])
+        plain = sample_unit_vectors(9, 10, ["a", "b"])
         default_rng = np.random.default_rng
 
-        class ZeroFirstRowOfSample3:
+        class ZeroRow3OfSymbolA:
             def __init__(self, seed):
                 self.rng = default_rng(seed)
-                self.zero = seed[1] == 3
+                self.zero = seed.spawn_key == (0,)
 
             def normal(self, size):
                 v = self.rng.normal(size=size)
                 if self.zero:
-                    v[0], self.zero = 0.0, False
+                    v[3] = 0.0
                 return v
 
-        monkeypatch.setattr(np.random, "default_rng", ZeroFirstRowOfSample3)
-        d = sample_unit_vectors(9, 6, ["a", "b"])
+        monkeypatch.setattr(np.random, "default_rng", ZeroRow3OfSymbolA)
+        d = sample_unit_vectors(9, 10, ["a", "b"])
         assert np.allclose(np.linalg.norm(d["a"], axis=1), 1.0, atol=1e-12)
-        keep = [0, 1, 2, 4, 5]
+        first = default_rng(np.random.SeedSequence(9, spawn_key=(0, 3))).normal(size=3)
+        assert np.allclose(d["a"][3], first / np.linalg.norm(first), atol=1e-15)
+        keep = [i for i in range(10) if i != 3]
         assert np.array_equal(d["a"][keep], plain["a"][keep])
         assert np.array_equal(d["b"], plain["b"])
-        rng = default_rng([9, 3])
-        rng.normal(size=(2, 3))
-        again = rng.normal(size=3)
-        assert np.allclose(d["a"][3], again / np.linalg.norm(again), atol=1e-15)
+        small = sample_unit_vectors(9, 5, ["a", "b"])
+        for s in ("a", "b"):
+            assert np.array_equal(small[s], d[s][:5])
+
+    def test_one_generator_per_symbol(self, monkeypatch):
+        """Only a symbol's stream and the redraw of a near-zero row build a
+        generator, however many samples are drawn.  None of these 600
+        Gaussian rows is near zero, so nothing is redrawn."""
+        default_rng = np.random.default_rng
+        built = []
+
+        def counting(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        d = sample_unit_vectors(17, 200, ["a", "b", "c"])
+        assert len(built) <= 3
+        assert all(np.allclose(np.linalg.norm(v, axis=1), 1.0) for v in d.values())
+
+    def test_coarse_uniformity(self):
+        d = sample_unit_vectors(2024, 10_000, ["a", "b"])
+        rows = np.concatenate([d["a"], d["b"]])
+        assert rows.shape == (20_000, 3)
+        assert np.abs(rows.mean(axis=0)).max() < 0.02
+        assert abs(np.mean(rows[:, 2] ** 2) - 1 / 3) < 0.01
 
 
 class TestUMatrixBridge:

@@ -8,7 +8,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from cartensor.coeff import atom, atom_canonical, atom_mul
-from cartensor.oracle import reduce_pair_identities, verify
+from cartensor.oracle import verify
 from cartensor.reduce import (
     Couple,
     Harmonic,
@@ -25,7 +25,7 @@ from cartensor.reduce import (
 from cartensor.tensor import (contract, harmonic_tensor, poly_scale, poly_sub,
                               traceless_contract)
 
-from helpers import cross_vector
+from helpers import cross_vector, reduce_pair_identities
 
 
 def _exact(a, rat, radicand=1, pi_half=0):
