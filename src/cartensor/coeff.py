@@ -243,7 +243,7 @@ def hat(l: int) -> CoeffAtom:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization of atoms
+# JSON serialization of atoms
 # ---------------------------------------------------------------------------
 
 def atom_to_json(a: CoeffAtom) -> dict:
@@ -255,12 +255,3 @@ def atom_to_json(a: CoeffAtom) -> dict:
         "pi_half": a.pi_half,
         "i_pow": a.i_pow,
     }
-
-
-def atom_from_json(obj: dict) -> CoeffAtom:
-    return CoeffAtom(
-        Fraction(obj["num"], obj["den"]),
-        Fraction(obj["radicand_num"], obj["radicand_den"]),
-        obj["pi_half"],
-        obj["i_pow"],
-    )

@@ -9,17 +9,20 @@ Grammar (whitespace insignificant):
 
 Parse errors (syntax) and semantic errors (triangle-rule violations, repeated
 vector symbols) carry a source span; format_error renders the conventional
-caret diagnostic.  Renderers produce plain text, LaTeX, and the versioned JSON
-result schema {"schema": 1, "rank": int, "terms": [...]}.
+caret diagnostic.  The result renderers produce plain text, LaTeX, and the
+versioned JSON schema {"schema": 1, "rank": int, "terms": [...]}, each in one
+pass over the terms that builds every distinct fragment once per call;
+result_to_obj is render_json's output parsed back.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .coeff import CoeffAtom, atom_to_json
@@ -194,7 +197,9 @@ def render_expr_latex(expr: CouplingExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Result renderers: one display model, one token style per format
+# Result renderers: one display model, one token style per format.  Each
+# renderer makes one pass over poly.terms and formats every distinct part of a
+# term once per call (a _Memo); result_to_obj parses render_json's output.
 # ---------------------------------------------------------------------------
 
 _SLOT_NAMES = "ijklmnpqrstu"
@@ -202,30 +207,6 @@ _SLOT_NAMES = "ijklmnpqrstu"
 
 def _slot(i: int) -> str:
     return _SLOT_NAMES[i] if i < len(_SLOT_NAMES) else f"i{i}"
-
-
-def _term_degree(t) -> int:
-    deg = sum(e for _, _, e in t.dots) + 3 * len(t.boxes)
-    deg += len(t.vecs) + sum(1 for e in t.epses for x in e if x[0] == 's')
-    return deg
-
-
-def _common_factor(poly):
-    """Factor a nonzero polynomial as sign * positive atom * (integer terms).
-
-    Returns (sign, atom, [(int_coeff, term), ...]) with the terms in display
-    order and the first integer positive.  The atom's shape is the prefactor's;
-    its rational part is the gcd of the term coefficients."""
-    terms = sorted(poly.terms, key=lambda t: (-_term_degree(t), t.key))
-    rats = [t.coeff for t in terms]
-    top = gcd(*[r.numerator for r in rats])
-    bottom = lcm(*[r.denominator for r in rats])
-    sign = 1 if rats[0] > 0 else -1
-    factor = CoeffAtom(Fraction(top, bottom), poly.prefactor.radicand,
-                       poly.prefactor.pi_half, poly.prefactor.i_pow)
-    div = sign * top
-    return sign, factor, [(r.numerator * (bottom // r.denominator) // div, t)
-                          for r, t in zip(rats, terms)]
 
 
 class _Style(NamedTuple):
@@ -306,30 +287,66 @@ def _atom(a: CoeffAtom, style: _Style) -> str:
     return style.fraction.format(style.atom_join.join(num), bottom)
 
 
-def _monomial(t, style: _Style) -> str:
-    parts = [style.dot.format(s1, s2) if e == 1
-             else style.power.format(style.dot.format(s1, s2), e)
-             for s1, s2, e in t.dots]
-    parts += [style.box.format(*b) for b in t.boxes]
-    parts += [style.vec.format(s, _slot(i)) for s, i in t.vecs]
-    parts += [style.delta.format(_slot(i), _slot(j)) for i, j in t.deltas]
+class _Memo(dict):
+    """A dict that fills a missing key with make(key), once per key."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _dot_factor(d: tuple, style: _Style) -> str:
+    dot = style.dot.format(d[0], d[1])
+    return dot if d[2] == 1 else style.power.format(dot, d[2])
+
+
+def _scalar_part(key: tuple, style: _Style, dot: _Memo) -> tuple[int, str]:
+    """The degree and string of a term's (dots, boxes); dot[d] is the string
+    of the dot factor d."""
+    dots, boxes = key
+    parts = [dot[d] for d in dots] + [style.box.format(*b) for b in boxes]
+    return sum(e for _, _, e in dots) + 3 * len(boxes), style.factors.join(parts)
+
+
+def _free_part(key: tuple, style: _Style) -> tuple[int, str]:
+    """The degree and string of a term's (vecs, deltas, epses)."""
+    vecs, deltas, epses = key
+    parts = [style.vec.format(s, _slot(i)) for s, i in vecs]
+    parts += [style.delta.format(_slot(i), _slot(j)) for i, j in deltas]
     parts += [style.eps.format(",".join(_slot(x) if kind == 'f' else style.symbol.format(x)
                                         for kind, x in e))
-              for e in t.epses]
-    return style.factors.join(parts)
+              for e in epses]
+    return len(vecs) + sum(kind == 's' for e in epses for kind, _ in e), style.factors.join(parts)
 
 
 def _render(poly, style: _Style) -> str:
+    """sign * positive atom * (integer terms); the atom's rational part is the
+    gcd of the coefficients.  The terms are in key order, so a stable sort on
+    degree alone gives the display order (-degree, key)."""
     if poly.is_zero:
         return "0"
-    sign, factor, inner = _common_factor(poly)
+    dot = _Memo(lambda d: _dot_factor(d, style))
+    scalars = _Memo(lambda key: _scalar_part(key, style, dot))
+    frees = _Memo(lambda key: _free_part(key, style))
+    rows = []
+    for t in poly.terms:
+        (d1, s1), (d2, s2) = scalars[t.dots, t.boxes], frees[t.vecs, t.deltas, t.epses]
+        rows.append((-d1 - d2, t.coeff, f"{s1}{style.factors}{s2}" if s1 and s2 else s1 or s2))
+    rows.sort(key=itemgetter(0))
+    top = gcd(*[r.numerator for _, r, _ in rows])
+    bottom = lcm(*[r.denominator for _, r, _ in rows])
+    sign = 1 if rows[0][1] > 0 else -1
+    factor = replace(poly.prefactor, rat=Fraction(top, bottom))
     fact = ("-" if sign < 0 else "") + _atom(factor, style)
-    if len(inner) == 1:
-        mono = _monomial(inner[0][1], style)
-        return style.lone.format(fact, mono) if mono else fact
+    if len(rows) == 1:
+        return style.lone.format(fact, rows[0][2]) if rows[0][2] else fact
+    div = sign * top
     pieces = []
-    for n, (c, t) in enumerate(inner):
-        mono = _monomial(t, style)
+    for n, (_, r, mono) in enumerate(rows):
+        c = r.numerator * (bottom // r.denominator) // div
         mag = abs(c)
         body = (mono if mag == 1 else style.factors.join([str(mag), mono])) if mono else str(mag)
         pieces.append(body if n == 0 else f" {'+' if c > 0 else '-'} {body}")
@@ -348,27 +365,30 @@ def render_latex(result: ReductionResult) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
-def result_to_obj(result: ReductionResult) -> dict:
-    # Every term shares the prefactor's radicand, pi and i fields; a term only
-    # replaces num and den, which keeps atom_to_json's key order.
-    shared = atom_to_json(result.poly.prefactor)
-    terms = []
-    for t in result.poly.terms:
-        free = []
-        for s, i in t.vecs:
-            free.append(["vec", i, s])
-        for i, j in t.deltas:
-            free.append(["delta", i, j])
-        for e in t.epses:
-            free.append(["eps"] + [x[1] for x in e])
-        terms.append({
-            "coeff": [{**shared, "num": t.coeff.numerator, "den": t.coeff.denominator}],
-            "dots": [[s1, s2, e] for s1, s2, e in t.dots],
-            "boxes": [list(b) for b in t.boxes],
-            "free_slots": free,
-        })
-    return {"schema": 1, "rank": result.poly.rank, "terms": terms}
+def _free_json(key: tuple) -> str:
+    vecs, deltas, epses = key
+    return json.dumps([["vec", i, s] for s, i in vecs] + [["delta", i, j] for i, j in deltas]
+                      + [["eps", *[x for _, x in e]] for e in epses])
 
 
 def render_json(result: ReductionResult) -> str:
-    return json.dumps(result_to_obj(result))
+    """The schema-1 JSON of a result: each term's coefficient is the
+    prefactor's atom_to_json with the term's own num and den at its head."""
+    poly = result.poly
+    shared = atom_to_json(poly.prefactor)
+    del shared["num"], shared["den"]
+    tail = json.dumps(shared)[1:]
+    # dots and boxes are tuples of triples, written from each triple's JSON
+    triple = _Memo(json.dumps)
+    triples = _Memo(lambda ts: f"[{', '.join([triple[x] for x in ts])}]")
+    frees = _Memo(_free_json)
+    terms = ", ".join([
+        f'{{"coeff": [{{"num": {t.coeff.numerator}, "den": {t.coeff.denominator}, {tail}], '
+        f'"dots": {triples[t.dots]}, "boxes": {triples[t.boxes]}, '
+        f'"free_slots": {frees[t.vecs, t.deltas, t.epses]}}}' for t in poly.terms])
+    return f'{{"schema": 1, "rank": {poly.rank}, "terms": [{terms}]}}'
+
+
+def result_to_obj(result: ReductionResult) -> dict:
+    """render_json's object, for callers that compare results as data."""
+    return json.loads(render_json(result))

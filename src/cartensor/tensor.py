@@ -86,10 +86,10 @@ closed-form factorial ratios in J = l1+l2+l3 and Ji = J-2li-1.
 Wherever both factors of a contraction are symmetric traceless (the children
 of a coupling node), traceless_contract and each coupling node prune through
 one helper before the product loop: a term whose delta joins two contracted
-slots meets a trace of the other factor and so sums to exactly zero over it.  The rule holds for one side at a time only,
-since it relies on the other side keeping all its terms; contract,
-contract_slots and full_contract never prune, as they also serve non-STF
-factors such as vector_power.
+slots meets a trace of the other factor and so sums to exactly zero over it.
+The rule holds for one side at a time only, since it relies on the other side
+keeping all its terms; contract and contract_slots never prune, as they also
+serve non-STF factors such as vector_power.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ class TensorTerm:
 
 @dataclass(frozen=True)
 class TensorPoly:
-    """prefactor * sum of terms; see the module docstring for the normal form."""
+    """prefactor * sum of terms, in strictly ascending key order (the renderers
+    rely on it); see the module docstring for the normal form."""
     rank: int
     terms: tuple = ()
     prefactor: CoeffAtom = ATOM_ONE
@@ -299,11 +300,6 @@ def _relabel_into(acc: dict, num: int, key: tuple, m, extra=()) -> None:
 # Elementary poly constructors and arithmetic
 # ---------------------------------------------------------------------------
 
-def scalar_poly(coeff=ATOM_ONE) -> TensorPoly:
-    """The rank-0 constant coeff, a CoeffAtom or a rational."""
-    return poly_scale(TensorPoly(0, (TensorTerm(Fraction(1)),)), coeff)
-
-
 def vector_power(v, l: int) -> TensorPoly:
     """The plain outer product v x v x ... x v (rank l)."""
     s = _sym_name(v)
@@ -322,14 +318,6 @@ def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     for k, c in n2.items():
         acc[k] = acc.get(k, 0) + c * (den // d2)
     return _from_numerators(rank, den, acc, p1.prefactor if p1.terms else p2.prefactor)
-
-
-def poly_neg(p: TensorPoly) -> TensorPoly:
-    return poly_scale(p, -1)
-
-
-def poly_sub(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
-    return poly_add(p1, poly_neg(p2))
 
 
 def poly_scale(p: TensorPoly, factor) -> TensorPoly:
@@ -622,12 +610,6 @@ def contract(p1: TensorPoly, p2: TensorPoly, k: int,
     """Contract the last k slots of p1 with the first k slots of p2 (k=0 is the
     outer product), times the atom scale."""
     return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k), scale)
-
-
-def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
-    if p1.rank != p2.rank:
-        raise ValueError("full contraction requires equal ranks")
-    return contract(p1, p2, p1.rank)
 
 
 def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:

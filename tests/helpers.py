@@ -1,24 +1,55 @@
-"""Constructions that only the tests use: a cross product, the closed-form
-pair-coupling constant, the coupling sum built step by step from public
-operations, the odd-coupling normalization found by probing, float
-Clebsch-Gordan values, a checked unit-vector type, Legendre polynomials and
-the closed rank-1 pair identities checked against the oracle."""
+"""Constructions that only the tests use: the atom that atom_to_json wrote,
+polynomial constants, negation, subtraction and full contraction, a cross
+product, the closed-form pair-coupling constant, the coupling sum built step
+by step from public operations, the odd-coupling normalization found by
+probing, float Clebsch-Gordan values, a checked unit-vector type, Legendre
+polynomials, the closed rank-1 pair identities checked against the oracle,
+and the result renderers as they stood before they cached fragments."""
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
-from cartensor.coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, double_factorial,
-                            factorial)
+from cartensor.coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, atom_to_json,
+                            double_factorial, factorial)
 from cartensor.tensor import (TensorPoly, TensorTerm, contract, contract_slots,
                               harmonic_tensor, poly_add, poly_scale,
                               symmetrized_embed, traceless_contract, vector_power)
 from cartensor.oracle import DEFAULT_SEED, eval_expr_components, sample_unit_vectors
+from cartensor.parser import _atom, _slot
 from cartensor.reduce import Couple, Harmonic
 from cartensor.wigner import clebsch_gordan
+
+
+def scalar_poly(coeff=ATOM_ONE) -> TensorPoly:
+    """The rank-0 constant coeff, a CoeffAtom or a rational."""
+    return poly_scale(TensorPoly(0, (TensorTerm(Fraction(1)),)), coeff)
+
+
+def poly_neg(p: TensorPoly) -> TensorPoly:
+    return poly_scale(p, -1)
+
+
+def poly_sub(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
+    return poly_add(p1, poly_neg(p2))
+
+
+def full_contract(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
+    if p1.rank != p2.rank:
+        raise ValueError("full contraction requires equal ranks")
+    return contract(p1, p2, p1.rank)
+
+
+def atom_from_json(obj: dict) -> CoeffAtom:
+    """The atom whose atom_to_json is obj."""
+    return CoeffAtom(Fraction(obj["num"], obj["den"]),
+                     Fraction(obj["radicand_num"], obj["radicand_den"]),
+                     obj["pi_half"], obj["i_pow"])
 
 
 def cross_vector(v1: str, v2: str) -> TensorPoly:
@@ -204,3 +235,81 @@ def reduce_pair_identities(l1: int, l2: int, samples: int = 50,
         "l1": l1, "l2": l2, "form": form, "samples": samples, "seed": seed,
         "max_abs_err": err, "pass": err <= 1e-10,
     }
+
+
+def _term_degree(t) -> int:
+    deg = sum(e for _, _, e in t.dots) + 3 * len(t.boxes)
+    deg += len(t.vecs) + sum(1 for e in t.epses for x in e if x[0] == 's')
+    return deg
+
+
+def _common_factor(poly):
+    """Factor a nonzero polynomial as sign * positive atom * (integer terms).
+
+    Returns (sign, atom, [(int_coeff, term), ...]) with the terms in display
+    order and the first integer positive.  The atom's shape is the prefactor's;
+    its rational part is the gcd of the term coefficients."""
+    terms = sorted(poly.terms, key=lambda t: (-_term_degree(t), t.key))
+    rats = [t.coeff for t in terms]
+    top = gcd(*[r.numerator for r in rats])
+    bottom = lcm(*[r.denominator for r in rats])
+    sign = 1 if rats[0] > 0 else -1
+    factor = CoeffAtom(Fraction(top, bottom), poly.prefactor.radicand,
+                       poly.prefactor.pi_half, poly.prefactor.i_pow)
+    div = sign * top
+    return sign, factor, [(r.numerator * (bottom // r.denominator) // div, t)
+                          for r, t in zip(rats, terms)]
+
+
+def _monomial(t, style) -> str:
+    parts = [style.dot.format(s1, s2) if e == 1
+             else style.power.format(style.dot.format(s1, s2), e)
+             for s1, s2, e in t.dots]
+    parts += [style.box.format(*b) for b in t.boxes]
+    parts += [style.vec.format(s, _slot(i)) for s, i in t.vecs]
+    parts += [style.delta.format(_slot(i), _slot(j)) for i, j in t.deltas]
+    parts += [style.eps.format(",".join(_slot(x) if kind == 'f' else style.symbol.format(x)
+                                        for kind, x in e))
+              for e in t.epses]
+    return style.factors.join(parts)
+
+
+def reference_render(poly: TensorPoly, style) -> str:
+    """The text or LaTeX body of poly in style (parser._TEXT or parser._LATEX),
+    term by term: every term is sorted by (-degree, key) and formatted on its
+    own."""
+    if poly.is_zero:
+        return "0"
+    sign, factor, inner = _common_factor(poly)
+    fact = ("-" if sign < 0 else "") + _atom(factor, style)
+    if len(inner) == 1:
+        mono = _monomial(inner[0][1], style)
+        return style.lone.format(fact, mono) if mono else fact
+    pieces = []
+    for n, (c, t) in enumerate(inner):
+        mono = _monomial(t, style)
+        mag = abs(c)
+        body = (mono if mag == 1 else style.factors.join([str(mag), mono])) if mono else str(mag)
+        pieces.append(body if n == 0 else f" {'+' if c > 0 else '-'} {body}")
+    return style.group.format(fact, "".join(pieces))
+
+
+def reference_render_json(result) -> str:
+    """The schema-1 JSON of result, built as one dict per term and dumped."""
+    shared = atom_to_json(result.poly.prefactor)
+    terms = []
+    for t in result.poly.terms:
+        free = []
+        for s, i in t.vecs:
+            free.append(["vec", i, s])
+        for i, j in t.deltas:
+            free.append(["delta", i, j])
+        for e in t.epses:
+            free.append(["eps"] + [x[1] for x in e])
+        terms.append({
+            "coeff": [{**shared, "num": t.coeff.numerator, "den": t.coeff.denominator}],
+            "dots": [[s1, s2, e] for s1, s2, e in t.dots],
+            "boxes": [list(b) for b in t.boxes],
+            "free_slots": free,
+        })
+    return json.dumps({"schema": 1, "rank": result.poly.rank, "terms": terms})

@@ -55,17 +55,15 @@ from cartensor.tensor import (
     couple_even,
     couple_odd,
     embed_count,
-    full_contract,
     harmonic_tensor,
     odd_norm,
     poly_permute_slots,
-    poly_sub,
     symmetrized_embed,
     vector_power,
 )
 
-from helpers import (UnitVector, cg_float, couple_constant, legendre_coeffs,
-                     reduce_pair_identities)
+from helpers import (UnitVector, cg_float, couple_constant, full_contract, legendre_coeffs,
+                     poly_sub, reduce_pair_identities)
 
 CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
                   for e in _load_corpus(_default_corpus_path())]

@@ -17,7 +17,6 @@ from cartensor.coeff import (
     SUM_ZERO,
     atom,
     atom_canonical,
-    atom_from_json,
     atom_mul,
     atom_to_json,
     double_factorial,
@@ -26,6 +25,8 @@ from cartensor.coeff import (
     sqrt_rational,
     square_free_split,
 )
+
+from helpers import atom_from_json
 
 
 class TestIntegerHelpers:

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, atom
-from cartensor.tensor import (TensorPoly, TensorTerm, contract_slots,
-                              full_contract, poly_permute_slots, scalar_poly)
+from cartensor.tensor import TensorPoly, TensorTerm, contract_slots, poly_permute_slots
 
+from helpers import full_contract, scalar_poly
 from reference_contraction import _build, _term_to_raw, reference_contract_slots
 
 SYMBOLS = ('a', 'b', 'c', 'd')

@@ -56,3 +56,10 @@ def test_output_bytes_unchanged(entry):
 @pytest.mark.parametrize("expr", PROBES)
 def test_many_vector_probe_bytes_unchanged(expr):
     assert _digest(expr) == PROBES[expr], f"output of {expr} changed"
+
+
+@pytest.mark.parametrize("expr", [e["expr"] for e in DIGESTS] + list(PROBES))
+def test_terms_in_strictly_ascending_key_order(expr):
+    """The TensorPoly normal form the renderers' display order relies on."""
+    keys = [t.key for t in reduce_expr(parse(expr)).poly.terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))

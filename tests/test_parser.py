@@ -2,13 +2,18 @@
 
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from cartensor import parser
+from cartensor.coeff import ATOM_ONE, CoeffAtom
 from cartensor.parser import (
+    _LATEX,
+    _TEXT,
     ExprError,
     ExprSemanticError,
     ExprSyntaxError,
@@ -21,8 +26,11 @@ from cartensor.parser import (
     render_text,
     result_to_obj,
 )
-from cartensor.reduce import (Couple, Harmonic, InvalidExpr, expr_leaves, expr_rank,
-                              reduce_expr, validate_expr)
+from cartensor.reduce import (Couple, Harmonic, InvalidExpr, ReductionResult, expr_leaves,
+                              expr_rank, reduce_expr, validate_expr)
+from cartensor.tensor import TensorPoly, TensorTerm
+
+from helpers import reference_render, reference_render_json
 
 
 def _reduce(src):
@@ -291,3 +299,96 @@ def test_semantic_error_is_the_validator_error(case):
     span = got.value.span
     assert (span.start, span.end) == _offsets(tree, 0, {})[id(bad)]
     assert source[span.start:span.end] == render_expr_text(bad)
+
+
+# ---------------------------------------------------------------------------
+# Property test: the one-pass renderers equal the term-by-term references
+# ---------------------------------------------------------------------------
+
+_SYMS = ("a", "b", "c", "v1", "w_2")
+_RANK = 14   # slots up to 13, past the named slots i..u
+
+
+@st.composite
+def _term_keys(draw):
+    sym, slot = st.sampled_from(_SYMS), st.integers(0, _RANK - 1)
+    vecs = tuple(sorted(draw(st.lists(st.tuples(sym, slot), max_size=3)), key=lambda v: v[1]))
+    pair = st.lists(slot, min_size=2, max_size=2, unique=True).map(lambda ij: tuple(sorted(ij)))
+    deltas = tuple(sorted(set(draw(st.lists(pair, max_size=3)))))
+    entry = st.one_of(st.tuples(st.just('f'), slot), st.tuples(st.just('s'), sym))
+    epses = tuple(draw(st.lists(st.tuples(entry, entry, entry), max_size=1)))
+    powers = draw(st.dictionaries(st.tuples(sym, sym).filter(lambda p: p[0] < p[1]),
+                                  st.integers(1, 4), max_size=3))
+    dots = tuple((s1, s2, e) for (s1, s2), e in sorted(powers.items()))
+    boxes = tuple(draw(st.lists(st.lists(sym, min_size=3, max_size=3, unique=True)
+                                .map(lambda b: tuple(sorted(b))), max_size=1)))
+    return (vecs, deltas, epses, dots, boxes)
+
+
+_BIG = 2 ** 70
+_COEFFS = st.builds(lambda n, d: Fraction(n, d),
+                    st.integers(-_BIG, _BIG).filter(bool), st.integers(1, _BIG))
+_PREFACTORS = st.builds(lambda r, h, i: CoeffAtom(Fraction(1), r, h, i),
+                        st.sampled_from([1, 2, 3, 6, 15, 30]), st.integers(-5, 5),
+                        st.integers(0, 1))
+
+
+@st.composite
+def _polys(draw):
+    """A canonical TensorPoly: distinct keys in ascending order, nonzero
+    coefficients, a prefactor with rat 1 (ATOM_ONE when zero)."""
+    keys = sorted(set(draw(st.lists(_term_keys(), max_size=8))))
+    terms = tuple(TensorTerm(draw(_COEFFS), *k) for k in keys)
+    return TensorPoly(_RANK, terms, draw(_PREFACTORS) if terms else ATOM_ONE)
+
+
+def _poly(prefactor, *terms):
+    """A poly of (coeff, key fields) terms, put in key order."""
+    terms = sorted((TensorTerm(Fraction(c), **fields) for c, fields in terms),
+                   key=lambda t: t.key)
+    return TensorPoly(_RANK, tuple(terms), prefactor)
+
+
+_ECHO = parse("Y[1](a)")
+
+
+@settings(deadline=None, max_examples=300)
+@given(_polys())
+@example(TensorPoly(0))
+@example(_poly(ATOM_ONE, (7, {})))
+@example(_poly(CoeffAtom(Fraction(1), 3, -3, 1),
+               (-2 ** 65, dict(dots=(("a", "b", 3),))),
+               (Fraction(3, 2 ** 66 + 1), dict(boxes=(("a", "b", "c"),)))))
+@example(_poly(CoeffAtom(Fraction(1), 2, 1, 0),
+               (Fraction(-5, 3), dict(vecs=(("a", 12), ("b", 13)), dots=(("a", "c", 2),))),
+               (2, dict(epses=((("f", 0), ("s", "a"), ("s", "b")),))),
+               (4, dict(deltas=((3, 12),), epses=((("f", 0), ("f", 13), ("s", "c")),))),
+               (Fraction(1, 6), dict(dots=(("a", "c", 2),), boxes=(("a", "b", "c"),)))))
+def test_renderers_equal_the_references(poly):
+    result = ReductionResult(_ECHO, poly, "even", (), False)
+    assert render_text(result) == reference_render(poly, _TEXT)
+    assert render_latex(result) == f"{render_expr_latex(_ECHO)} = {reference_render(poly, _LATEX)}"
+    want = reference_render_json(result)
+    assert render_json(result) == want
+    assert result_to_obj(result) == json.loads(want)
+
+
+# The 3,708-term rank-2 coupling of seven vectors.
+_WIDE = ("[[[Y[2](a) x Y[3](b)][1] x [Y[3](c) x Y[2](d)][2]][3] x "
+         "[[Y[2](e) x Y[3](f)][5] x Y[3](g)][2]][2]")
+
+
+def test_json_dumps_runs_once_per_distinct_fragment(monkeypatch):
+    result = _reduce(_WIDE)
+    terms = result.poly.terms
+    assert len(terms) == 3708
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(parser.json, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+    rendered = render_json(result)
+    monkeypatch.undo()
+    # one call per distinct dot or box triple, free_slots list and prefactor
+    triples = {x for t in terms for x in t.dots + t.boxes}
+    assert len(calls) <= len(triples) + len({(t.vecs, t.deltas, t.epses) for t in terms}) + 1
+    assert not any(isinstance(obj, dict) and "terms" in obj for obj in calls)
+    assert rendered == reference_render_json(result)

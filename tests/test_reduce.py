@@ -22,10 +22,9 @@ from cartensor.reduce import (
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import (contract, harmonic_tensor, poly_scale, poly_sub,
-                              traceless_contract)
+from cartensor.tensor import contract, harmonic_tensor, poly_scale, traceless_contract
 
-from helpers import cross_vector, reduce_pair_identities
+from helpers import cross_vector, poly_sub, reduce_pair_identities
 
 
 def _exact(a, rat, radicand=1, pi_half=0):

@@ -21,21 +21,18 @@ from cartensor.tensor import (
     couple_even,
     couple_odd,
     embed_count,
-    full_contract,
     harmonic_tensor,
     kappa_even,
     odd_norm,
     poly_add,
-    poly_neg,
     poly_permute_slots,
     poly_scale,
-    poly_sub,
-    scalar_poly,
     symmetrized_embed,
     vector_power,
 )
 
-from helpers import couple_constant, cross_vector, odd_norm_probe
+from helpers import (couple_constant, cross_vector, full_contract, odd_norm_probe, poly_neg,
+                     poly_sub, scalar_poly)
 
 DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
 
