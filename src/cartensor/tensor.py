@@ -44,25 +44,34 @@ an equal value with different canonical terms and so different output bytes.
 
 A signature pair's result is a list of children: a factor (sign and traces),
 the vectors, deltas and dots it adds, and the canonical epsilon or box left.
-Each product of two terms only assembles its children.  Side 1's vectors and
-deltas followed by side 2's are already in canonical order, so only a child
-that adds some is sorted.  Within one call a dot monomial is one int, a bit
-field per symbol pair wide enough for the largest exponent a product can
-reach, so the product's monomial is the sum of three ints; each distinct
+Each product of two structures only assembles its children.  Side 1's vectors
+and deltas followed by side 2's are already in canonical order, so only a
+child that adds some is sorted, once per pair of structures.  Within one call
+a dot monomial is one int, a bit field per symbol pair wide enough for the
+largest exponent a product can reach, so the product of two terms is one
+multiplication of numerators and the sum of three ints; each distinct
 monomial is unpacked once, at the end.
 
-Inside the engine a polynomial is raw: (rank, den, {term key: int
-numerator}), the terms over one denominator, without the prefactor.  A
-coupling node thaws its two children once, and int numerators flow through its
-whole sum over r: each contraction writes a raw result (denominator: the
-product of its sides'), the odd-parity epsilon hook contracts that raw result,
-and the embedding relabels it straight into the node's one accumulator with
-the weight of its r (denominator: the lcm over r).  The node is then frozen
-once: one Fraction per output term, one sort of the keys.  A harmonic leaf is
-built the same way.  The public contract_slots, contract, traceless_contract,
-symmetrized_embed and poly_permute_slots each thaw their arguments and freeze
-their result around the same raw core.  Bond-free relabellings (embedding,
-slot permutation) go straight to the canonical form.
+Inside the engine a polynomial is raw: (rank, den, {struct: {dots: int
+numerator}}), the terms over one denominator, without the prefactor, grouped
+by structure.  A term's structure, struct = (vecs, deltas, epses, boxes), is
+all of its key but the dot monomial.  Boxes belong to the structure, not to the
+scalar part: a box is an epsilon whose three entries are symbols, so it is
+part of a contraction's signature and takes part in the determinant identity.
+The paper's closed form is a sum over structures, each times a polynomial in
+the dots, and every raw step does its slot work (relabelling, sorting, keying,
+reading signatures) once per structure; per term it only multiplies a
+numerator and adds a dot monomial.  A coupling node thaws its two children
+once, and int numerators flow through its whole sum over r: each contraction
+writes a raw result (denominator: the product of its sides'), the odd-parity
+epsilon hook contracts that raw result, and the embedding relabels each
+structure, once per distribution, straight into the node's one accumulator
+with the weight of its r (denominator: the lcm over r).  The node is then
+frozen once: one Fraction per output term, one sort of the full keys.  A
+harmonic leaf is built the same way.  The public contract_slots, contract,
+traceless_contract, symmetrized_embed and poly_permute_slots each thaw their
+arguments and freeze their result around the same raw core.  Bond-free
+relabellings (embedding, slot permutation) go straight to the canonical form.
 
 The prefactor is a canonical atom with rat == 1 (ATOM_ONE for the zero
 polynomial), so equal values are equal TensorPolys.  Only the prefactor is ever
@@ -160,16 +169,19 @@ def _shape(a: CoeffAtom) -> CoeffAtom:
 # ---------------------------------------------------------------------------
 # Raw polynomials and raw terms
 # ---------------------------------------------------------------------------
-# A raw polynomial (rank, den, {TensorTerm key: int numerator}) holds
-# canonical keys only.  A raw term is one product before its key is
-# canonical: an int numerator (over the call's denominator), vectors
-# (sym, slot) and deltas (i, j) on output slots, a canonical dots tuple (in
-# _contract_raw, a packed int until the end), and a
-# list of at most two epsilon-like factors: an epsilon, or a box held as an
-# all-symbol epsilon until freezing, as a list of entries ('f', slot),
-# ('s', sym) or ('b', ...).  ('b', bond) marks a contracted slot until its
-# chain is fused; ('b', k, pos) links two positions of distinct epsilon-like
-# factors, for the determinant identity to resolve.
+# A raw polynomial (rank, den, {struct: {dots: int numerator}}) holds
+# canonical keys only: struct = (vecs, deltas, epses, boxes) is a TensorTerm
+# key without its dots, and the full key is (vecs, deltas, epses, dots,
+# boxes).  Boxes sit in the structure because a box is an all-symbol epsilon:
+# it shapes a contraction's signature and the determinant identity, which a
+# dot never does.  Before a structure is canonical, its vectors (sym, slot)
+# and deltas (i, j) are on output slots, and its epsilon-like factors are a
+# list of at most two: an epsilon, or a box held as an all-symbol epsilon
+# until it is canonical, as a list of entries ('f', slot), ('s', sym) or
+# ('b', ...).  ('b', bond) marks a contracted slot until its chain is fused;
+# ('b', k, pos) links two positions of distinct epsilon-like factors, for the
+# determinant identity to resolve.  In _contract_raw a dots tuple is a packed
+# int until the end.
 
 _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
@@ -178,11 +190,28 @@ _by_slot = itemgetter(1)
 
 
 def _thaw(p: TensorPoly) -> tuple:
-    """p's terms as a raw polynomial (rank, den, {key: numerator over den}),
-    den the lcm of the coefficient denominators; the prefactor is left out."""
+    """p's terms as a raw polynomial (rank, den, {struct: {dots: numerator
+    over den}}), den the lcm of the coefficient denominators; the prefactor
+    is left out."""
     den = math.lcm(*[t.coeff.denominator for t in p.terms])
-    return p.rank, den, {t.key: t.coeff.numerator * (den // t.coeff.denominator)
-                         for t in p.terms}
+    raw: dict = {}
+    for t in p.terms:
+        struct = (t.vecs, t.deltas, t.epses, t.boxes)
+        nums = raw.get(struct)
+        if nums is None:
+            raw[struct] = nums = {}
+        nums[t.dots] = t.coeff.numerator * (den // t.coeff.denominator)
+    return p.rank, den, raw
+
+
+def _merge(acc: dict, struct: tuple, nums: dict, f: int) -> None:
+    """Add f times the numerators nums, {dots: numerator}, to acc[struct]."""
+    out = acc.get(struct)
+    if out is None:
+        acc[struct] = {dots: f * c for dots, c in nums.items()}
+        return
+    for dots, c in nums.items():
+        out[dots] = out.get(dots, 0) + f * c
 
 
 def _eps_like(epses: tuple, boxes: tuple, entry) -> list:
@@ -255,45 +284,38 @@ def _canonical_eps(ep) -> tuple | None:
     return (triple,), (), sign
 
 
-def _freeze_into(acc: dict, num: int, vecs, deltas, dots: tuple, eps: list) -> None:
-    """Add the canonical form of a raw term with at most one epsilon-like
-    factor to acc, a dict of int numerators by TensorTerm key."""
-    epses = boxes = ()
-    if eps:
-        if len(eps) > 1:
-            raise AssertionError("canonical term with multiple epsilon-like factors")
-        canon = _canonical_eps(eps[0])
-        if canon is None:
-            return
-        epses, boxes, sign = canon
-        if sign < 0:
-            num = -num
-    key = (tuple(sorted(vecs, key=_by_slot)),
-           tuple(sorted([(i, j) if i < j else (j, i) for i, j in deltas])),
-           epses, dots, boxes)
-    acc[key] = acc.get(key, 0) + num
-
-
 def _from_numerators(rank: int, den: int, acc: dict,
                      factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """factor * sum of acc[key]/den * monomial(key), frozen: the raw polynomial
-    (rank, den, acc) times a canonical atom."""
+    """factor * sum of acc[struct][dots]/den * monomial(struct, dots), frozen:
+    the raw polynomial (rank, den, acc) times a canonical atom."""
     rat = factor.rat
     n, d = rat.numerator, den * rat.denominator
-    out = tuple([TensorTerm(Fraction(c * n, d), *k) for k, c in sorted(acc.items()) if c])
-    if not out:
+    keyed = sorted([((vecs, deltas, epses, dots, boxes), c)
+                    for (vecs, deltas, epses, boxes), nums in acc.items()
+                    for dots, c in nums.items() if c])
+    if not keyed:
         return TensorPoly(rank)
-    return TensorPoly(rank, out, _shape(factor))
+    return TensorPoly(rank, tuple([TensorTerm(Fraction(c * n, d), *k) for k, c in keyed]),
+                      _shape(factor))
 
 
-def _relabel_into(acc: dict, num: int, key: tuple, m, extra=()) -> None:
-    """Add num times the term with this key, slot i moved to m[i] and the
-    deltas extra appended, to acc.  There are no bonds, so nothing needs
-    resolving."""
-    vecs, deltas, epses, dots, boxes = key
-    _freeze_into(acc, num, [(s, m[i]) for s, i in vecs],
-                 [(m[i], m[j]) for i, j in deltas] + list(extra), dots,
-                 _eps_like(epses, boxes, lambda i: ('f', m[i])))
+def _relabel(struct: tuple, m, extra=()) -> tuple | None:
+    """(struct', sign): the canonical structure of struct with slot i moved to
+    m[i] and the deltas extra appended, and the sign that ordering its epsilon
+    gives; None if a repeated epsilon entry annihilates it.  There are no
+    bonds, so nothing needs resolving."""
+    vecs, deltas, epses, boxes = struct
+    eps = _eps_like(epses, boxes, lambda i: ('f', m[i]))
+    sign = 1
+    if eps:
+        canon = _canonical_eps(eps[0])
+        if canon is None:
+            return None
+        epses, boxes, sign = canon
+    deltas = [(m[i], m[j]) for i, j in deltas] + list(extra)
+    return (tuple(sorted([(s, m[i]) for s, i in vecs], key=_by_slot)),
+            tuple(sorted([(i, j) if i < j else (j, i) for i, j in deltas])),
+            epses, boxes), sign
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +336,10 @@ def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
         raise ValueError("cannot add polynomials with different prefactor shapes")
     (rank, d1, n1), (_, d2, n2) = _thaw(p1), _thaw(p2)
     den = math.lcm(d1, d2)
-    acc = {k: c * (den // d1) for k, c in n1.items()}
-    for k, c in n2.items():
-        acc[k] = acc.get(k, 0) + c * (den // d2)
+    acc: dict = {}
+    for raw, d in ((n1, d1), (n2, d2)):
+        for struct, nums in raw.items():
+            _merge(acc, struct, nums, den // d)
     return _from_numerators(rank, den, acc, p1.prefactor if p1.terms else p2.prefactor)
 
 
@@ -334,11 +357,20 @@ def poly_scale(p: TensorPoly, factor) -> TensorPoly:
 
 
 def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
-    """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping."""
-    rank, den, nums = _thaw(p)
+    """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping,
+    and a permutation of range(p.rank)."""
+    rank, den, raw = _thaw(p)
+    try:
+        m = [perm[i] for i in range(rank)]
+    except (IndexError, KeyError):
+        m = None
+    if m is None or len(perm) != rank or sorted(m) != list(range(rank)):
+        raise ValueError(f"{perm!r} is not a permutation of the {rank} slots")
     acc: dict = {}
-    for key, num in nums.items():
-        _relabel_into(acc, num, key, perm)
+    for struct, nums in raw.items():
+        moved = _relabel(struct, m)
+        if moved is not None:
+            _merge(acc, moved[0], nums, moved[1])
     return _from_numerators(rank, den, acc, p.prefactor)
 
 
@@ -346,14 +378,14 @@ def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
 # Contraction
 # ---------------------------------------------------------------------------
 
-def _split(key: tuple, where: list, nb: int) -> tuple:
-    """One term key of a contraction factor, read once: (vecs, deltas, signature).
-    The factors on surviving slots are relabelled to output slots, in slot
-    order.  The signature is (occ, eps): occ[bond] is the occupant of that
-    bond's contracted slot, a vector ('s', sym), the other end of a delta,
-    ('f', slot) or ('b', bond), or a position ('e', pos) of the term's
-    epsilon-like factor; eps holds that factor, if any."""
-    key_vecs, key_deltas, epses, _, boxes = key
+def _split(struct: tuple, where: list, nb: int) -> tuple:
+    """One structure of a contraction factor, read once: (vecs, deltas,
+    signature).  The factors on surviving slots are relabelled to output
+    slots, in slot order.  The signature is (occ, eps): occ[bond] is the
+    occupant of that bond's contracted slot, a vector ('s', sym), the other
+    end of a delta, ('f', slot) or ('b', bond), or a position ('e', pos) of
+    the structure's epsilon-like factor; eps holds that factor, if any."""
+    key_vecs, key_deltas, epses, boxes = struct
     occ = [None] * nb
     vecs = []
     for s, i in key_vecs:
@@ -380,25 +412,26 @@ def _split(key: tuple, where: list, nb: int) -> tuple:
     return tuple(vecs), tuple(deltas), (tuple(occ), tuple(map(tuple, eps)))
 
 
-def _group(nums: dict, where: list, nb: int, syms: set) -> tuple:
-    """(groups, top) for one contraction factor, {key: numerator}: its terms
-    read by _split and grouped by signature, {signature: [(num, vecs, deltas,
-    dots), ...]}, and the largest dot exponent among them.  Every symbol that
-    can end up in a dot of the product is added to syms."""
+def _group(raw: dict, where: list, nb: int, syms: set) -> tuple:
+    """(groups, top) for one contraction factor, {struct: {dots: numerator}}:
+    its structures read by _split and grouped by signature, {signature:
+    [(vecs, deltas, {dots: numerator}), ...]}, and the largest dot exponent
+    among its terms.  Every symbol that can end up in a dot of the product is
+    added to syms."""
     groups: dict = {}
     top = 0
-    for key, num in nums.items():
-        vecs, deltas, sig = _split(key, where, nb)
-        dots = key[3]
-        for s1, s2, e in dots:
-            syms.add(s1)
-            syms.add(s2)
-            if e > top:
-                top = e
+    for struct, nums in raw.items():
+        vecs, deltas, sig = _split(struct, where, nb)
+        for dots in nums:
+            for s1, s2, e in dots:
+                syms.add(s1)
+                syms.add(s2)
+                if e > top:
+                    top = e
         g = groups.get(sig)
         if g is None:
             groups[sig] = g = []
-        g.append((num, vecs, deltas, dots))
+        g.append((vecs, deltas, nums))
     for occ, eps in groups:
         syms.update([o[1] for o in occ if o[0] == 's'])
         for ep in eps:
@@ -493,26 +526,30 @@ def _resolve(sig1: tuple, sig2: tuple, nb: int) -> list:
 
 
 def _unpacked(acc: dict, fields: list, width: int) -> dict:
-    """acc with each key's packed dot monomial (one `width`-bit field per
-    symbol pair in fields, lowest first) replaced by its canonical dots tuple,
-    and the zero numerators dropped.  Each distinct monomial is unpacked
-    once."""
+    """acc, {struct: {packed dot monomial: numerator}}, with each packed
+    monomial (one `width`-bit field per symbol pair in fields, lowest first)
+    replaced by its canonical dots tuple, and the zero numerators and the
+    structures left empty dropped.  Each distinct monomial is unpacked once."""
     mask = (1 << width) - 1
     dots_of: dict = {}
     out: dict = {}
-    for (vecs, deltas, ep, code, bx), c in acc.items():
-        if not c:
-            continue
-        dots = dots_of.get(code)
-        if dots is None:
-            found, rest, k = [], code, 0
-            while rest:
-                if rest & mask:
-                    found.append((*fields[k], rest & mask))
-                rest >>= width
-                k += 1
-            dots = dots_of[code] = tuple(found)
-        out[vecs, deltas, ep, dots, bx] = c
+    for struct, coded in acc.items():
+        nums = {}
+        for code, c in coded.items():
+            if not c:
+                continue
+            dots = dots_of.get(code)
+            if dots is None:
+                found, rest, k = [], code, 0
+                while rest:
+                    if rest & mask:
+                        found.append((*fields[k], rest & mask))
+                    rest >>= width
+                    k += 1
+                dots = dots_of[code] = tuple(found)
+            nums[dots] = c
+        if nums:
+            out[struct] = nums
     return out
 
 
@@ -553,8 +590,10 @@ def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
     unit = {f: 1 << (k * width) for k, f in enumerate(fields)}
 
     def packed(groups):
-        return [(sig, [(num, vecs, deltas, sum([e * unit[s1, s2] for s1, s2, e in dots]))
-                       for num, vecs, deltas, dots in g])
+        return [(sig, [(vecs, deltas,
+                        [(num, sum([e * unit[s1, s2] for s1, s2, e in dots]))
+                         for dots, num in nums.items()])
+                       for vecs, deltas, nums in g])
                 for sig, g in groups.items()]
 
     side2 = packed(groups2)
@@ -567,19 +606,25 @@ def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
                 continue
             # vecs1 + vecs2 and deltas1 + deltas2 are canonical already: each
             # side keeps slot order, and side 1's output slots come first.
-            for num1, vecs1, deltas1, code1 in g1:
-                for num2, vecs2, deltas2, code2 in g2:
-                    num = num1 * num2
+            for vecs1, deltas1, terms1 in g1:
+                for vecs2, deltas2, terms2 in g2:
                     vecs = vecs1 + vecs2
                     deltas = deltas1 + deltas2
-                    code = code1 + code2
                     for f, av, ad, dc, ep, bx in children:
                         if av or ad:
-                            key = (tuple(sorted(vecs + av, key=_by_slot)),
-                                   tuple(sorted(deltas + ad)), ep, code + dc, bx)
+                            struct = (tuple(sorted(vecs + av, key=_by_slot)),
+                                      tuple(sorted(deltas + ad)), ep, bx)
                         else:
-                            key = (vecs, deltas, ep, code + dc, bx)
-                        acc[key] = acc.get(key, 0) + num * f
+                            struct = (vecs, deltas, ep, bx)
+                        out = acc.get(struct)
+                        if out is None:
+                            acc[struct] = out = {}
+                        for num1, code1 in terms1:
+                            num1 *= f
+                            code1 += dc
+                            for num2, code2 in terms2:
+                                code = code1 + code2
+                                out[code] = out.get(code, 0) + num1 * num2
 
     return rank, den1 * den2, _unpacked(acc, fields, width)
 
@@ -612,6 +657,10 @@ def contract(p1: TensorPoly, p2: TensorPoly, k: int,
     return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k), scale)
 
 
+def _term_count(raw: dict) -> int:
+    return sum(map(len, raw.values()))
+
+
 def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
     """The raw contraction of the last k slots of raw a with the first k of raw
     b, for symmetric traceless a and b, without the products that sum to zero.
@@ -621,13 +670,15 @@ def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
     a with a delta inside a's last k slots.  Only one side is pruned, the one
     that removes more products (b on a tie): dropping b's terms relies on a
     being whole, and vice versa, so pruning both is wrong (Y[2](a).Y[2](b)
-    would lose its -3/4 term)."""
-    (rank1, den1, nums1), (rank2, den2, nums2) = a, b
+    would lose its -3/4 term).  The delta test reads each structure once; the
+    side is chosen by term counts."""
+    (rank1, den1, raw1), (rank2, den2, raw2) = a, b
     pairs = _bonds(rank1, rank2, k)
     lo = rank1 - k
-    keep_a = {key: c for key, c in nums1.items() if not any(i >= lo for i, _ in key[1])}
-    keep_b = {key: c for key, c in nums2.items() if not any(j < k for _, j in key[1])}
-    if (len(nums2) - len(keep_b)) * len(nums1) >= (len(nums1) - len(keep_a)) * len(nums2):
+    keep_a = {s: nums for s, nums in raw1.items() if not any(i >= lo for i, _ in s[1])}
+    keep_b = {s: nums for s, nums in raw2.items() if not any(j < k for _, j in s[1])}
+    n1, n2 = _term_count(raw1), _term_count(raw2)
+    if (n2 - _term_count(keep_b)) * n1 >= (n1 - _term_count(keep_a)) * n2:
         b = (rank2, den2, keep_b)
     else:
         a = (rank1, den1, keep_a)
@@ -683,7 +734,8 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
                 weight: int) -> None:
     """Add weight times each term of the symmetrized embedding of the raw
     polynomial core (see symmetrized_embed) to acc.  The caller picks the int
-    weight so that the numerators in acc share one denominator."""
+    weight so that the numerators in acc share one denominator.  Each
+    structure is relabelled once per distribution; its numerators follow."""
     group_sizes = list(group_sizes)
     if core[0] != sum(group_sizes):
         raise ValueError("group sizes must cover the core rank")
@@ -700,14 +752,16 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
     for g in group_sizes:
         offsets.append(off)
         off += g
-    items = [(key, weight * num) for key, num in core[2].items()]
+    structs = list(core[2].items())
     for chosen, pr in distributions:
         m = {}
         for gi, combo in enumerate(chosen):
             for local, slot in enumerate(sorted(combo)):
                 m[offsets[gi] + local] = slot
-        for key, num in items:
-            _relabel_into(acc, num, key, m, pr)
+        for struct, nums in structs:
+            moved = _relabel(struct, m, pr)
+            if moved is not None:
+                _merge(acc, moved[0], nums, weight * moved[1])
 
 
 def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
@@ -796,7 +850,7 @@ def odd_norm(l1: int, l2: int, l3: int) -> Fraction:
 
 
 # The raw rank-3 epsilon eps_ijk.
-_EPS3 = (3, 1, {((), (), ((('f', 0), ('f', 1), ('f', 2)),), (), ()): 1})
+_EPS3 = (3, 1, {((), (), ((('f', 0), ('f', 1), ('f', 2)),), ()): {(): 1}})
 
 
 def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,

@@ -8,7 +8,8 @@ random tensors whose terms share signatures and dot symbols, and on the cases
 that are easy to get wrong: closed delta loops through both factors, an
 epsilon chained back to itself, two epsilon-like factors, dot monomials whose
 pairs meet at the seam of the two sides, exponents that fill a packed field,
-and a call in which one signature pair annihilates and another survives.
+and a call in which one signature pair annihilates and another survives.  The
+raw result keeps no empty structure and no zero numerator.
 """
 
 from fractions import Fraction
@@ -111,6 +112,32 @@ def test_permute_slots_matches_reference(p, data):
     emap = {i: ('f', perm[i]) for i in range(p.rank)}
     expect = _build(p.rank, [_term_to_raw(t, emap) for t in p.terms], p.prefactor)
     assert poly_permute_slots(p, perm) == expect
+
+
+def _assert_no_zeros(raw):
+    """A raw polynomial has no empty structure and no zero numerator."""
+    assert all(raw[2].values())
+    assert all(all(nums.values()) for nums in raw[2].values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_contractions())
+def test_raw_contraction_keeps_no_zeros(case):
+    p1, p2, pairs = case
+    _assert_no_zeros(tensor._contract_raw(tensor._thaw(p1), tensor._thaw(p2), pairs))
+
+
+@pytest.mark.parametrize("survivor", [False, True])
+def test_raw_contraction_drops_cancelled_terms(survivor):
+    """a_i b_j - b_i a_j against delta_ij cancels to zero; with c_i c_j added,
+    the constant 1 survives in the same structure as the cancelled (a.b)."""
+    terms = [(1, (('a', 0), ('b', 1)), (), (), {}), (-1, (('b', 0), ('a', 1)), (), (), {})]
+    if survivor:
+        terms.append((1, (('c', 0), ('c', 1)), (), (), {}))
+    p1, p2 = _poly(2, *terms), _poly(2, (1, (), ((0, 1),), (), {}))
+    raw = tensor._contract_raw(tensor._thaw(p1), tensor._thaw(p2), [(0, 0), (1, 1)])
+    _assert_no_zeros(raw)
+    assert raw[2] == ({((), (), (), ()): {(): raw[1]}} if survivor else {})
 
 
 def _check(p1, p2, pairs, value):
@@ -248,4 +275,16 @@ def test_two_epsilon_like_factors_in_one_term_rejected():
 
 def test_unresolved_bond_rejected_at_freeze():
     with pytest.raises(AssertionError, match="unresolved bond"):
-        tensor._freeze_into({}, 1, [], [], (), [[('f', 0), ('b', 0), ('s', 'a')]])
+        tensor._relabel(((), (), ((('f', 0), ('b', 0), ('s', 'a')),), ()), [0])
+
+
+@pytest.mark.parametrize("perm", [[0, 0], [0, 5], {0: 1}, {0: 1, 5: 0}, [1, 0, 2], [0], []])
+def test_permute_slots_rejects_a_non_permutation(perm):
+    p = _poly(2, (1, (('a', 0), ('b', 1)), (), (), {}), (2, (), ((0, 1),), (), {}))
+    with pytest.raises(ValueError, match="not a permutation"):
+        poly_permute_slots(p, perm)
+
+
+def test_permute_slots_accepts_a_mapping():
+    p = _poly(2, (1, (('a', 0), ('b', 1)), (), (), {}))
+    assert poly_permute_slots(p, {0: 1, 1: 0}) == poly_permute_slots(p, [1, 0])

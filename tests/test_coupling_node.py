@@ -3,9 +3,10 @@
 couple_even and couple_odd contract, hook the epsilon, embed and sum over r
 on raw int numerators, with no TensorPoly in between.  Here they must equal,
 term order and prefactor included, helpers.reference_coupling_sum, which
-builds the same sum one public operation at a time; and a count of
+builds the same sum one public operation at a time; a count of
 tensor._from_numerators pins that each node, and each harmonic leaf, is frozen
-exactly once.
+exactly once; and a count of tensor._relabel pins that the embedding relabels
+each structure of its core once per distribution, not once per term.
 """
 
 from fractions import Fraction
@@ -15,8 +16,8 @@ import pytest
 from cartensor import parse, reduce_expr, tensor
 from cartensor.coeff import ATOM_ONE, atom
 from cartensor.reduce import Couple, Harmonic, q_factor, r_factor
-from cartensor.tensor import (couple_even, couple_odd, harmonic_tensor, kappa_even,
-                              odd_norm, traceless_contract)
+from cartensor.tensor import (couple_even, couple_odd, embed_count, harmonic_tensor,
+                              kappa_even, odd_norm, symmetrized_embed, traceless_contract)
 
 from helpers import reference_coupling_sum
 
@@ -117,3 +118,49 @@ def test_one_freeze_per_node_and_leaf(freezes, text):
     tensor._harmonic_cached.cache_clear()
     reduce_expr(expr)
     assert len(freezes) == nodes + len(leaves)
+
+
+@pytest.fixture
+def relabels(monkeypatch):
+    """A list that records each tensor._relabel call."""
+    calls = []
+    relabel = tensor._relabel
+
+    def counted(struct, *args):
+        calls.append(struct)
+        return relabel(struct, *args)
+
+    monkeypatch.setattr(tensor, "_relabel", counted)
+    return calls
+
+
+def _sizes(raw) -> tuple:
+    """(structures, terms) of a raw polynomial."""
+    return len(raw[2]), sum(map(len, raw[2].values()))
+
+
+def test_embedding_relabels_once_per_structure_and_distribution(relabels):
+    core = couple_even(harmonic_tensor('a', 3), harmonic_tensor('b', 3), 4)
+    structs, terms = _sizes(tensor._thaw(core))
+    assert structs < terms
+    relabels.clear()
+    symmetrized_embed(core, [4], 1, 6)
+    assert len(relabels) == structs * embed_count(6, [4], 1)
+
+
+def test_coupling_node_relabels_once_per_structure_and_distribution(relabels):
+    A = couple_even(harmonic_tensor('a', 3), harmonic_tensor('b', 3), 4)
+    B = harmonic_tensor('c', 2)
+    l1, l2, l3 = 4, 2, 4
+    k = (l1 + l2 - l3) // 2
+    want = per_term = 0
+    for r in range(min(l1, l2) - k + 1):
+        core = tensor._traceless_raw(tensor._thaw(A), tensor._thaw(B), k + r)
+        structs, terms = _sizes(core)
+        n = embed_count(l3, [l1 - k - r, l2 - k - r], r)
+        want += structs * n
+        per_term += terms * n
+    assert want < per_term
+    relabels.clear()
+    couple_even(A, B, l3)
+    assert len(relabels) == want

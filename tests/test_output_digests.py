@@ -8,7 +8,8 @@ same way, three many-vector couplings, where a contraction has many terms per
 side sharing slot signatures, and three degree-4 pairs whose coupling node
 sums several r pieces into a rank-4 to rank-8 root (one of them odd, through
 the epsilon hook), which the benchmark sets do not reach.  A change that
-alters any output byte fails here and names the coupling.
+alters any output byte fails here and names the coupling.  Each of these
+reductions also survives a round trip through the engine's raw form.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from cartensor import parse, reduce_expr, render_json, render_latex, render_text
+from cartensor import parse, reduce_expr, render_json, render_latex, render_text, tensor
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json")
                      .read_text(encoding="utf-8"))
@@ -63,3 +64,10 @@ def test_terms_in_strictly_ascending_key_order(expr):
     """The TensorPoly normal form the renderers' display order relies on."""
     keys = [t.key for t in reduce_expr(parse(expr)).poly.terms]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("expr", [e["expr"] for e in DIGESTS] + list(PROBES))
+def test_raw_form_round_trip(expr):
+    """Thawing to {struct: {dots: numerator}} and freezing gives p back."""
+    p = reduce_expr(parse(expr)).poly
+    assert tensor._from_numerators(*tensor._thaw(p), p.prefactor) == p
