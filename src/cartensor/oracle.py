@@ -8,8 +8,8 @@ rank-L output through the unitary component map when needed.
 What the oracle shares with the symbolic engine is the parser, the
 CouplingExpr tree and the TensorPoly data it is asked to check; a
 polynomial's exact prefactor is read once (CoeffAtom.to_complex) and each
-term's rational coefficient as a float.  It shares no algebra: spherical
-values come from floating-point recurrences, and its Clebsch-Gordan
+term's numerator over the shared denominator as a float.  It shares no algebra:
+spherical values come from floating-point recurrences, and its Clebsch-Gordan
 coefficients from diagonalising the total J^2 in the product basis (``cg``),
 never from the engine's Racah sum or its coefficients.
 
@@ -17,11 +17,11 @@ Each symbol's samples come from one random stream of its own, a keyed child
 of the seed (``sample_unit_vectors``), so sample i is the same whatever the
 sample count, redraws of near-zero draws included.
 
-Terms that share a tensor structure are evaluated as one block.  For a
-rank-L root verify projects each delta-free block onto the 2L+1 spherical
-components through the bridge ``u_matrix(L)``, so it never builds the rank-L
-tensor at every sample; the rows of U are symmetric and traceless, so a term
-with a Kronecker delta projects to zero and is skipped.
+The terms of one group, which share a tensor structure, are evaluated as one
+block.  For a rank-L root verify projects each delta-free block onto the 2L+1
+spherical components through the bridge ``u_matrix(L)``, so it never builds the
+rank-L tensor at every sample; the rows of U are symmetric and traceless, so a
+term with a Kronecker delta projects to zero and is skipped.
 """
 
 from __future__ import annotations
@@ -241,22 +241,23 @@ def _eps_factor(eps: tuple, n_axes: int, cols: dict) -> np.ndarray:
     return block.reshape(shape)
 
 
-def _scalar_part(terms, vecs: dict, n: int, dots: dict, boxes: dict) -> np.ndarray:
-    """The sum over terms of rational coefficient x dot powers x boxes, (n,).
-    Each dot power and box is evaluated once into dots and boxes, which the
-    caller shares across the structures of one polynomial."""
+def _scalar_part(monos, tboxes: tuple, den: int, vecs: dict, n: int, dots: dict,
+                 boxes: dict) -> np.ndarray:
+    """tboxes times the sum over monos, (dots, numerator), of numerator/den x
+    dot powers, (n,).  Each dot power and box is evaluated once into dots and
+    boxes, which the caller shares across the groups of one polynomial."""
     total = np.zeros(n)
-    for t in terms:
-        value = float(t.coeff)
-        for d in t.dots:
+    for mono, num in monos:
+        value = num / den
+        for d in mono:
             if d not in dots:
                 dots[d] = np.sum(vecs[d[0]] * vecs[d[1]], axis=1) ** d[2]
             value = value * dots[d]
-        for b in t.boxes:
-            if b not in boxes:
-                boxes[b] = _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
-            value = value * boxes[b]
         total += value
+    for b in tboxes:
+        if b not in boxes:
+            boxes[b] = _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
+        total = total * boxes[b]
     return total
 
 
@@ -283,10 +284,10 @@ def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int,
     term with a Kronecker delta to zero, so those terms are skipped; for any
     other bridge the result leaves them out.
 
-    Terms that share a tensor structure (vecs, deltas, epses) are evaluated
-    together: their scalar parts are summed first, then the structure's
-    vector and epsilon factors form one block over its slots outside the
-    deltas, built once for all structures that lay those factors out alike.
+    The terms of one group, one structure, are evaluated together: their
+    scalar parts are summed first, then the structure's vector and epsilon
+    factors form one block over its slots outside the deltas, built once for
+    all structures that lay those factors out alike.
     In full mode each block times its scalar part is added into the diagonal
     view of the output that the deltas select.  In bridge mode the bridge's
     real and imaginary rows, stacked, multiply the block, so the block stays
@@ -295,28 +296,26 @@ def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int,
     L = poly.rank
     cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}
     if bridge is None:
-        terms = poly.terms
         out = np.zeros((3,) * L + (n,))
     else:
-        terms = [t for t in poly.terms if not t.deltas]
         rows = len(bridge)
         stacked = np.concatenate([bridge.real, bridge.imag])
         out = np.zeros((2 * rows, n))
-    structures, layouts, dots, boxes = {}, {}, {}, {}
-    for t in terms:
-        structures.setdefault((t.vecs, t.deltas, t.epses), []).append(t)
-    for (tvecs, deltas, epses), group in structures.items():
+    layouts, dots, boxes = {}, {}, {}
+    for (tvecs, deltas, epses, tboxes), monos in poly.groups:
+        if deltas and bridge is not None:
+            continue
         axis = _delta_view(L, deltas)[0]
         layout = (tuple((s, axis[slot]) for s, slot in tvecs),
                   tuple(tuple((k, axis[x]) if k == 'f' else (k, x) for k, x in e)
                         for e in epses))
-        layouts.setdefault(layout, []).append((deltas, group))
+        layouts.setdefault(layout, []).append((deltas, tboxes, monos))
     # One scalar part at a time, so the call holds no array per structure.
     for (vec_axes, eps_axes), parts in layouts.items():
         p = len(vec_axes) + sum(k == 'f' for e in eps_axes for k, _ in e)
         block = _block(vec_axes, eps_axes, p, cols, n)
-        for deltas, group in parts:
-            scalar = _scalar_part(group, vecs, n, dots, boxes)
+        for deltas, tboxes, monos in parts:
+            scalar = _scalar_part(monos, tboxes, poly.den, vecs, n, dots, boxes)
             if bridge is None:
                 _, view, shape = _delta_view(L, deltas)
                 target = np.einsum(view, out) if deltas else out
@@ -417,6 +416,8 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     A caller that has already reduced expr passes that reduction as result,
     and it is checked instead of reducing expr again."""
     from .parser import parse, render_expr_text
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if isinstance(expr, str):
         expr = parse(expr)
     if result is None:

@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -198,8 +198,8 @@ def render_expr_latex(expr: CouplingExpr) -> str:
 
 # ---------------------------------------------------------------------------
 # Result renderers: one display model, one token style per format.  Each
-# renderer makes one pass over poly.terms and formats every distinct part of a
-# term once per call (a _Memo); result_to_obj parses render_json's output.
+# renderer makes one pass over poly.key_runs() and formats every distinct part
+# of a term once per call; result_to_obj parses render_json's output.
 # ---------------------------------------------------------------------------
 
 _SLOT_NAMES = "ijklmnpqrstu"
@@ -324,29 +324,29 @@ def _free_part(key: tuple, style: _Style) -> tuple[int, str]:
 
 def _render(poly, style: _Style) -> str:
     """sign * positive atom * (integer terms); the atom's rational part is the
-    gcd of the coefficients.  The terms are in key order, so a stable sort on
-    degree alone gives the display order (-degree, key)."""
+    gcd of the coefficients, gcd(numerators)/den.  The terms are in key order,
+    so a stable sort on degree alone gives the display order (-degree, key)."""
     if poly.is_zero:
         return "0"
     dot = _Memo(lambda d: _dot_factor(d, style))
     scalars = _Memo(lambda key: _scalar_part(key, style, dot))
-    frees = _Memo(lambda key: _free_part(key, style))
     rows = []
-    for t in poly.terms:
-        (d1, s1), (d2, s2) = scalars[t.dots, t.boxes], frees[t.vecs, t.deltas, t.epses]
-        rows.append((-d1 - d2, t.coeff, f"{s1}{style.factors}{s2}" if s1 and s2 else s1 or s2))
+    for free, run in poly.key_runs():
+        d2, s2 = _free_part(free, style)
+        for dots, boxes, num in run:
+            d1, s1 = scalars[dots, boxes]
+            rows.append((-d1 - d2, num, f"{s1}{style.factors}{s2}" if s1 and s2 else s1 or s2))
     rows.sort(key=itemgetter(0))
-    top = gcd(*[r.numerator for _, r, _ in rows])
-    bottom = lcm(*[r.denominator for _, r, _ in rows])
+    top = gcd(*[num for _, num, _ in rows])
     sign = 1 if rows[0][1] > 0 else -1
-    factor = replace(poly.prefactor, rat=Fraction(top, bottom))
+    factor = replace(poly.prefactor, rat=Fraction(top, poly.den))
     fact = ("-" if sign < 0 else "") + _atom(factor, style)
     if len(rows) == 1:
         return style.lone.format(fact, rows[0][2]) if rows[0][2] else fact
     div = sign * top
     pieces = []
-    for n, (_, r, mono) in enumerate(rows):
-        c = r.numerator * (bottom // r.denominator) // div
+    for n, (_, num, mono) in enumerate(rows):
+        c = num // div
         mag = abs(c)
         body = (mono if mag == 1 else style.factors.join([str(mag), mono])) if mono else str(mag)
         pieces.append(body if n == 0 else f" {'+' if c > 0 else '-'} {body}")
@@ -373,20 +373,25 @@ def _free_json(key: tuple) -> str:
 
 def render_json(result: ReductionResult) -> str:
     """The schema-1 JSON of a result: each term's coefficient is the
-    prefactor's atom_to_json with the term's own num and den at its head."""
+    prefactor's atom_to_json with the term's numerator/den, in lowest terms,
+    at its head."""
     poly = result.poly
+    den = poly.den
     shared = atom_to_json(poly.prefactor)
     del shared["num"], shared["den"]
     tail = json.dumps(shared)[1:]
     # dots and boxes are tuples of triples, written from each triple's JSON
     triple = _Memo(json.dumps)
     triples = _Memo(lambda ts: f"[{', '.join([triple[x] for x in ts])}]")
-    frees = _Memo(_free_json)
-    terms = ", ".join([
-        f'{{"coeff": [{{"num": {t.coeff.numerator}, "den": {t.coeff.denominator}, {tail}], '
-        f'"dots": {triples[t.dots]}, "boxes": {triples[t.boxes]}, '
-        f'"free_slots": {frees[t.vecs, t.deltas, t.epses]}}}' for t in poly.terms])
-    return f'{{"schema": 1, "rank": {poly.rank}, "terms": [{terms}]}}'
+    terms = []
+    for free, run in poly.key_runs():
+        slots = _free_json(free)
+        for dots, boxes, num in run:
+            g = gcd(num, den)
+            terms.append(f'{{"coeff": [{{"num": {num // g}, "den": {den // g}, {tail}], '
+                         f'"dots": {triples[dots]}, "boxes": {triples[boxes]}, '
+                         f'"free_slots": {slots}}}')
+    return f'{{"schema": 1, "rank": {poly.rank}, "terms": [{", ".join(terms)}]}}'
 
 
 def result_to_obj(result: ReductionResult) -> dict:

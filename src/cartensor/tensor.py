@@ -1,8 +1,8 @@
 """Symbolic Cartesian tensor algebra over unit-vector symbols.
 
 A TensorPoly of rank n is one exact prefactor (a CoeffAtom) times a sum of
-TensorTerm monomials carrying n free slots.  Each term is a product of
-  * a rational coefficient (Fraction),
+monomials carrying n free slots, each with an int numerator over one shared
+denominator.  Each monomial is a product of
   * vector factors  v_i        (a symbol's component at a free slot),
   * delta factors   delta_ij   (Kronecker delta joining two free slots),
   * at most one epsilon factor eps(e1,e2,e3) whose entries are free slots or
@@ -67,16 +67,22 @@ writes a raw result (denominator: the product of its sides'), the odd-parity
 epsilon hook contracts that raw result, and the embedding relabels each
 structure, once per distribution, straight into the node's one accumulator
 with the weight of its r (denominator: the lcm over r).  The node is then
-frozen once: one Fraction per output term, one sort of the full keys.  A
-harmonic leaf is built the same way.  The public contract_slots, contract,
-traceless_contract, symmetrized_embed and poly_permute_slots each thaw their
-arguments and freeze their result around the same raw core.  Bond-free
-relabellings (embedding, slot permutation) go straight to the canonical form.
+frozen once, into the normal form below.  A harmonic leaf is built the same
+way.  The public contract_slots, contract, traceless_contract,
+symmetrized_embed and poly_permute_slots each thaw their arguments and freeze
+their result around the same raw core.  Bond-free relabellings (embedding,
+slot permutation) go straight to the canonical form.
 
-The prefactor is a canonical atom with rat == 1 (ATOM_ONE for the zero
-polynomial), so equal values are equal TensorPolys.  Only the prefactor is ever
-irrational: products multiply the two prefactors once and move the rational
-part of the product (a gcd of radicands, the sign of i**2) into the terms.
+A TensorPoly is that form frozen, (rank, prefactor, den, groups), with groups
+the strictly ascending tuple of (struct, ((dots, numerator), ...)).  Its normal
+form makes equal values equal TensorPolys: monomials strictly ascending, no
+zero numerator or empty group, den >= 1, gcd(den, every numerator) == 1, and a
+canonical prefactor with rat == 1 (ATOM_ONE for the zero TensorPoly(rank)).
+Only the prefactor is ever irrational: products multiply the two prefactors
+once and move the rational part of the product (a gcd of radicands, the sign
+of i**2) into the numerators.  The output's full-key order (vecs, deltas,
+epses, dots, boxes) differs from group order only among groups that share
+(vecs, deltas, epses); key_runs merges those, and the terms view reads it.
 
 The three higher-level constructions are:
   * harmonic_tensor(v, l): the symmetric traceless tensor with leading term
@@ -105,7 +111,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -145,25 +151,43 @@ class TensorTerm:
 
 @dataclass(frozen=True)
 class TensorPoly:
-    """prefactor * sum of terms, in strictly ascending key order (the renderers
-    rely on it); see the module docstring for the normal form."""
+    """prefactor * sum over groups of numerator/den * monomial(struct, dots);
+    see the module docstring for the normal form."""
     rank: int
-    terms: tuple = ()
     prefactor: CoeffAtom = ATOM_ONE
+    den: int = 1
+    groups: tuple = ()
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.groups
+
+    def key_runs(self) -> list:
+        """The terms in full-key order, one run per free part (vecs, deltas,
+        epses): [(free, [(dots, boxes, numerator), ...]), ...].  Only a run of
+        several groups, adjacent and differing in boxes alone, needs a sort."""
+        runs = []
+        for (vecs, deltas, epses, boxes), monos in self.groups:
+            free, terms = (vecs, deltas, epses), [(dots, boxes, n) for dots, n in monos]
+            if runs and runs[-1][0] == free:
+                runs[-1][1].extend(terms)
+                runs[-1][1].sort()
+            else:
+                runs.append((free, terms))
+        return runs
+
+    @property
+    def terms(self) -> tuple:
+        """The terms as TensorTerms in full-key order: a read-only view, built
+        on each access, for callers outside the pipeline."""
+        den = self.den
+        return tuple([TensorTerm(Fraction(n, den), *free, dots, boxes)
+                      for free, run in self.key_runs() for dots, boxes, n in run])
 
     def term_atom(self, t: TensorTerm) -> CoeffAtom:
         """The exact coefficient of term t, prefactor * t.coeff, as a canonical atom."""
         p = self.prefactor
         return CoeffAtom(t.coeff, p.radicand, p.pi_half, p.i_pow)
-
-
-def _shape(a: CoeffAtom) -> CoeffAtom:
-    """The canonical atom a with its rational part replaced by 1."""
-    return CoeffAtom(Fraction(1), a.radicand, a.pi_half, a.i_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +214,18 @@ _by_slot = itemgetter(1)
 
 
 def _thaw(p: TensorPoly) -> tuple:
-    """p's terms as a raw polynomial (rank, den, {struct: {dots: numerator
-    over den}}), den the lcm of the coefficient denominators; the prefactor
-    is left out."""
-    den = math.lcm(*[t.coeff.denominator for t in p.terms])
-    raw: dict = {}
-    for t in p.terms:
-        struct = (t.vecs, t.deltas, t.epses, t.boxes)
-        nums = raw.get(struct)
-        if nums is None:
-            raw[struct] = nums = {}
-        nums[t.dots] = t.coeff.numerator * (den // t.coeff.denominator)
-    return p.rank, den, raw
+    """p as a raw polynomial (rank, den, {struct: {dots: numerator over
+    den}}); the prefactor is left out."""
+    return p.rank, p.den, {struct: dict(monos) for struct, monos in p.groups}
 
 
-def _merge(acc: dict, struct: tuple, nums: dict, f: int) -> None:
-    """Add f times the numerators nums, {dots: numerator}, to acc[struct]."""
+def _merge(acc: dict, struct: tuple, monos, f: int) -> None:
+    """Add f times monos, (dots, numerator) pairs, to acc[struct]."""
     out = acc.get(struct)
     if out is None:
-        acc[struct] = {dots: f * c for dots, c in nums.items()}
+        acc[struct] = {dots: f * c for dots, c in monos}
         return
-    for dots, c in nums.items():
+    for dots, c in monos:
         out[dots] = out.get(dots, 0) + f * c
 
 
@@ -286,17 +301,20 @@ def _canonical_eps(ep) -> tuple | None:
 
 def _from_numerators(rank: int, den: int, acc: dict,
                      factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """factor * sum of acc[struct][dots]/den * monomial(struct, dots), frozen:
-    the raw polynomial (rank, den, acc) times a canonical atom."""
-    rat = factor.rat
-    n, d = rat.numerator, den * rat.denominator
-    keyed = sorted([((vecs, deltas, epses, dots, boxes), c)
-                    for (vecs, deltas, epses, boxes), nums in acc.items()
-                    for dots, c in nums.items() if c])
-    if not keyed:
+    """factor * sum of acc[struct][dots]/den * monomial(struct, dots), in normal
+    form: the raw polynomial (rank, den, acc) times a canonical atom."""
+    num, den = factor.rat.numerator, den * factor.rat.denominator
+    groups = []
+    for struct in sorted(acc):
+        monos = [m for m in sorted(acc[struct].items()) if m[1]]
+        if monos:
+            groups.append((struct, monos))
+    if not groups or not num:
         return TensorPoly(rank)
-    return TensorPoly(rank, tuple([TensorTerm(Fraction(c * n, d), *k) for k, c in keyed]),
-                      _shape(factor))
+    g = math.gcd(den, num * math.gcd(*[c for _, monos in groups for _, c in monos]))
+    return TensorPoly(rank, replace(factor, rat=Fraction(1)), den // g, tuple([
+        (struct, tuple([(dots, c * num // g) for dots, c in monos]))
+        for struct, monos in groups]))
 
 
 def _relabel(struct: tuple, m, extra=()) -> tuple | None:
@@ -326,40 +344,35 @@ def vector_power(v, l: int) -> TensorPoly:
     """The plain outer product v x v x ... x v (rank l)."""
     s = _sym_name(v)
     vecs = tuple((s, i) for i in range(l))
-    return TensorPoly(l, (TensorTerm(Fraction(1), vecs),))
+    return TensorPoly(l, ATOM_ONE, 1, (((vecs, (), (), ()), (((), 1),)),))
 
 
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     if p1.rank != p2.rank:
         raise ValueError(f"rank mismatch {p1.rank} vs {p2.rank}")
-    if p1.terms and p2.terms and p1.prefactor != p2.prefactor:
+    if not (p1.is_zero or p2.is_zero) and p1.prefactor != p2.prefactor:
         raise ValueError("cannot add polynomials with different prefactor shapes")
-    (rank, d1, n1), (_, d2, n2) = _thaw(p1), _thaw(p2)
-    den = math.lcm(d1, d2)
+    den = math.lcm(p1.den, p2.den)
     acc: dict = {}
-    for raw, d in ((n1, d1), (n2, d2)):
-        for struct, nums in raw.items():
-            _merge(acc, struct, nums, den // d)
-    return _from_numerators(rank, den, acc, p1.prefactor if p1.terms else p2.prefactor)
+    for p in (p1, p2):
+        for struct, monos in p.groups:
+            _merge(acc, struct, monos, den // p.den)
+    return _from_numerators(p1.rank, den, acc, p2.prefactor if p1.is_zero else p1.prefactor)
 
 
 def poly_scale(p: TensorPoly, factor) -> TensorPoly:
     """p times a CoeffAtom or a rational."""
     if isinstance(factor, CoeffAtom):
-        product = atom_mul(p.prefactor, factor)
-        rat, prefactor = product.rat, _shape(product)
+        factor = atom_mul(p.prefactor, factor)
     else:
-        rat, prefactor = Fraction(factor), p.prefactor
-    if rat == 0 or not p.terms:
-        return TensorPoly(p.rank)
-    return TensorPoly(p.rank, tuple([TensorTerm(t.coeff * rat, *t.key) for t in p.terms]),
-                      prefactor)
+        factor = replace(p.prefactor, rat=Fraction(factor))
+    return _from_numerators(*_thaw(p), factor)
 
 
 def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping,
     and a permutation of range(p.rank)."""
-    rank, den, raw = _thaw(p)
+    rank = p.rank
     try:
         m = [perm[i] for i in range(rank)]
     except (IndexError, KeyError):
@@ -367,11 +380,11 @@ def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     if m is None or len(perm) != rank or sorted(m) != list(range(rank)):
         raise ValueError(f"{perm!r} is not a permutation of the {rank} slots")
     acc: dict = {}
-    for struct, nums in raw.items():
+    for struct, monos in p.groups:
         moved = _relabel(struct, m)
         if moved is not None:
-            _merge(acc, moved[0], nums, moved[1])
-    return _from_numerators(rank, den, acc, p.prefactor)
+            _merge(acc, moved[0], monos, moved[1])
+    return _from_numerators(rank, p.den, acc, p.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -752,16 +765,16 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
     for g in group_sizes:
         offsets.append(off)
         off += g
-    structs = list(core[2].items())
+    structs = [(struct, tuple(nums.items())) for struct, nums in core[2].items()]
     for chosen, pr in distributions:
         m = {}
         for gi, combo in enumerate(chosen):
             for local, slot in enumerate(sorted(combo)):
                 m[offsets[gi] + local] = slot
-        for struct, nums in structs:
+        for struct, monos in structs:
             moved = _relabel(struct, m, pr)
             if moved is not None:
-                _merge(acc, moved[0], nums, weight * moved[1])
+                _merge(acc, moved[0], monos, weight * moved[1])
 
 
 def symmetrized_embed(core: TensorPoly, group_sizes, r: int,

@@ -1,4 +1,5 @@
-"""Constructions that only the tests use: the atom that atom_to_json wrote,
+"""Constructions that only the tests use: a TensorPoly from its terms, the
+atom that atom_to_json wrote,
 polynomial constants, negation, subtraction and full contraction, a cross
 product, the closed-form pair-coupling constant, the coupling sum built step
 by step from public operations, the odd-coupling normalization found by
@@ -26,9 +27,26 @@ from cartensor.reduce import Couple, Harmonic
 from cartensor.wigner import clebsch_gordan
 
 
+def poly_of(rank: int, terms, prefactor: CoeffAtom = ATOM_ONE) -> TensorPoly:
+    """prefactor * the sum of terms, TensorTerms with distinct keys and nonzero
+    coefficients, as a TensorPoly: grouped by structure over the lcm of the
+    coefficient denominators.  The terms are not validated, so a malformed one
+    reaches the code under test."""
+    terms = list(terms)
+    if not terms:
+        return TensorPoly(rank)
+    den = lcm(*[t.coeff.denominator for t in terms])
+    groups: dict = {}
+    for t in terms:
+        groups.setdefault((t.vecs, t.deltas, t.epses, t.boxes), []).append(
+            (t.dots, t.coeff.numerator * (den // t.coeff.denominator)))
+    return TensorPoly(rank, prefactor, den,
+                      tuple(sorted((s, tuple(sorted(m))) for s, m in groups.items())))
+
+
 def scalar_poly(coeff=ATOM_ONE) -> TensorPoly:
     """The rank-0 constant coeff, a CoeffAtom or a rational."""
-    return poly_scale(TensorPoly(0, (TensorTerm(Fraction(1)),)), coeff)
+    return poly_scale(poly_of(0, [TensorTerm(Fraction(1))]), coeff)
 
 
 def poly_neg(p: TensorPoly) -> TensorPoly:
@@ -58,7 +76,7 @@ def cross_vector(v1: str, v2: str) -> TensorPoly:
         return TensorPoly(1)
     s1, s2 = sorted((v1, v2))
     eps = (('f', 0), ('s', s1), ('s', s2))
-    return TensorPoly(1, (TensorTerm(Fraction(1 if v1 < v2 else -1), epses=(eps,)),))
+    return poly_of(1, [TensorTerm(Fraction(1 if v1 < v2 else -1), epses=(eps,))])
 
 
 def couple_constant(l1: int, l2: int, l3: int) -> CoeffAtom:
@@ -76,7 +94,7 @@ def couple_constant(l1: int, l2: int, l3: int) -> CoeffAtom:
     return atom(1, rad * (2 * l3 + 1))
 
 
-_EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
+_EPS3 = poly_of(3, [TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),))])
 
 
 def reference_coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,

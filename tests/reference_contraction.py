@@ -12,6 +12,8 @@ from fractions import Fraction
 from cartensor.coeff import ATOM_ONE, CoeffAtom, atom_mul
 from cartensor.tensor import TensorPoly, TensorTerm
 
+from helpers import poly_of
+
 
 def _shape(a: CoeffAtom) -> CoeffAtom:
     return CoeffAtom(Fraction(1), a.radicand, a.pi_half, a.i_pow)
@@ -28,7 +30,7 @@ def _merge_terms(rank: int, terms, factor: CoeffAtom = ATOM_ONE) -> TensorPoly:
                  for k, c in sorted(acc.items()) if c])
     if not out:
         return TensorPoly(rank)
-    return TensorPoly(rank, out, _shape(factor))
+    return poly_of(rank, out, _shape(factor))
 
 
 def _term_to_raw(t: TensorTerm, emap=None) -> dict:

@@ -63,7 +63,7 @@ from cartensor.tensor import (
 )
 
 from helpers import (UnitVector, cg_float, couple_constant, full_contract, legendre_coeffs,
-                     poly_sub, reduce_pair_identities)
+                     poly_of, poly_sub, reduce_pair_identities)
 
 CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
                   for e in _load_corpus(_default_corpus_path())]
@@ -217,7 +217,7 @@ def scalar_coeff(const, n: int) -> CoeffAtom:
     return atom(Fraction(p * n, q), Fraction(rn, rd), h)
 
 
-DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
+DELTA = poly_of(2, [TensorTerm(Fraction(1), deltas=((0, 1),))])
 
 
 def trace(poly: TensorPoly, i: int, j: int) -> TensorPoly:
@@ -403,7 +403,7 @@ class TestLegendreContraction:
         for k, c in legendre_coeffs(l).items():
             dots = ((("a", "b", k)),) if k else ()
             terms.append(TensorTerm(Fraction(c), dots=dots))
-        expected = TensorPoly(0, tuple(terms))
+        expected = poly_of(0, terms)
         assert poly_sub(got, expected).is_zero
 
 
@@ -546,8 +546,8 @@ class TestStructure:
         assert embed_count(total, (g1, g2), r) == expected
 
     def test_embedding_term_count_live(self):
-        core = TensorPoly(4, (TensorTerm(
-            Fraction(1), vecs=(("a", 0), ("a", 1), ("b", 2), ("b", 3))),))
+        core = poly_of(4, [TensorTerm(
+            Fraction(1), vecs=(("a", 0), ("a", 1), ("b", 2), ("b", 3)))])
         p = symmetrized_embed(core, (2, 2), 1, 6)
         assert len(p.terms) == embed_count(6, (2, 2), 1)
 

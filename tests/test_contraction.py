@@ -12,6 +12,7 @@ and a call in which one signature pair annihilates and another survives.  The
 raw result keeps no empty structure and no zero numerator.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,14 @@ from hypothesis import strategies as st
 
 from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, atom
-from cartensor.tensor import TensorPoly, TensorTerm, contract_slots, poly_permute_slots
+from cartensor.tensor import (TensorPoly, TensorTerm, contract_slots, poly_add,
+                              poly_permute_slots, poly_scale)
 
-from helpers import full_contract, scalar_poly
+from helpers import full_contract, poly_of, scalar_poly
 from reference_contraction import _build, _term_to_raw, reference_contract_slots
 
 SYMBOLS = ('a', 'b', 'c', 'd')
-EPS3 = TensorPoly(3, (TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),)),))
+EPS3 = poly_of(3, [TensorTerm(Fraction(1), epses=((('f', 0), ('f', 1), ('f', 2)),))])
 
 
 def _poly(rank, *terms):
@@ -77,10 +79,11 @@ _prefactors = st.sampled_from([ATOM_ONE, atom(1, 2), atom(1, 3, 0, 1), atom(1, 1
 
 
 @st.composite
-def _polys(draw):
+def _polys(draw, rank=None):
     """Up to 8 terms on at most 4 tensor shapes, so that several terms share a
-    signature and differ in their dots and coefficients."""
-    rank = draw(st.integers(0, 4))
+    signature and differ in their dots and coefficients; of any rank up to 4
+    unless rank is given."""
+    rank = draw(st.integers(0, 4)) if rank is None else rank
     shapes = draw(st.lists(_raw_terms(rank), min_size=1, max_size=4))
     raws = [dict(draw(st.sampled_from(shapes)), dots=draw(_dots()),
                  coeff=Fraction(draw(st.integers(-6, 6).filter(bool)),
@@ -112,6 +115,22 @@ def test_permute_slots_matches_reference(p, data):
     emap = {i: ('f', perm[i]) for i in range(p.rank)}
     expect = _build(p.rank, [_term_to_raw(t, emap) for t in p.terms], p.prefactor)
     assert poly_permute_slots(p, perm) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_polys(), data=st.data(),
+       c=st.fractions(-6, 6, max_denominator=6).filter(bool))
+def test_equal_values_are_equal_polys_on_every_path(p, data, c):
+    """Value equality and hashing do not depend on how a poly was built: the
+    normal form is reached from any order of addition and any scaling."""
+    q = data.draw(_polys(p.rank))
+    if not (p.is_zero or q.is_zero):
+        q = replace(q, prefactor=p.prefactor)
+    s, t = poly_add(p, q), poly_add(q, p)
+    assert s == t and hash(s) == hash(t)
+    for back in (poly_scale(poly_scale(p, c), 1 / c),
+                 poly_scale(poly_scale(p, atom(c, 2)), atom(1 / (2 * c), 2))):
+        assert back == p and hash(back) == hash(p)
 
 
 def _assert_no_zeros(raw):
@@ -265,8 +284,8 @@ def test_slot_out_of_range_rejected():
 
 
 def test_two_epsilon_like_factors_in_one_term_rejected():
-    bad = TensorPoly(1, (TensorTerm(Fraction(1), epses=((('f', 0), ('s', 'a'), ('s', 'b')),),
-                                    boxes=(('c', 'd', 'e'),)),))
+    bad = poly_of(1, [TensorTerm(Fraction(1), epses=((('f', 0), ('s', 'a'), ('s', 'b')),),
+                                 boxes=(('c', 'd', 'e'),))])
     with pytest.raises(AssertionError, match="multiple epsilon-like"):
         contract_slots(bad, scalar_poly(), [])
     with pytest.raises(AssertionError, match="multiple epsilon-like"):

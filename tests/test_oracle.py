@@ -25,7 +25,7 @@ from cartensor.reduce import Couple, Harmonic, reduce_expr
 from cartensor.tensor import TensorPoly, TensorTerm, harmonic_tensor, poly_add, poly_scale
 from cartensor.wigner import three_j
 
-from helpers import UnitVector, legendre, legendre_coeffs, legendre_prime
+from helpers import UnitVector, legendre, legendre_coeffs, legendre_prime, poly_of
 
 Z_HAT = UnitVector(0.0, 0.0, 1.0)
 
@@ -269,6 +269,11 @@ class TestVerify:
         with pytest.raises(ValueError, match="different expression"):
             verify("[Y[1](a) x Y[1](b)][0]", n_samples=5, result=other)
 
+    @pytest.mark.parametrize("n", [0, -1, -200])
+    def test_sample_count_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            verify("Y[1](a)", n)
+
 
 class TestEvalExpr:
     def test_single_configuration(self):
@@ -363,7 +368,7 @@ def _hand(rank, *terms):
     by evaluating each part."""
     parts = {}
     for a, t in terms:
-        p = poly_scale(TensorPoly(rank, (t,)), a)
+        p = poly_scale(poly_of(rank, [t]), a)
         parts[p.prefactor] = poly_add(parts.get(p.prefactor, TensorPoly(rank)), p)
     return list(parts.values())
 

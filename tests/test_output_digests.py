@@ -14,6 +14,7 @@ reductions also survives a round trip through the engine's raw form.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -59,11 +60,20 @@ def test_many_vector_probe_bytes_unchanged(expr):
     assert _digest(expr) == PROBES[expr], f"output of {expr} changed"
 
 
+def _ascending(items) -> bool:
+    return all(a < b for a, b in zip(items, items[1:]))
+
+
 @pytest.mark.parametrize("expr", [e["expr"] for e in DIGESTS] + list(PROBES))
 def test_terms_in_strictly_ascending_key_order(expr):
-    """The TensorPoly normal form the renderers' display order relies on."""
-    keys = [t.key for t in reduce_expr(parse(expr)).poly.terms]
-    assert all(a < b for a, b in zip(keys, keys[1:]))
+    """The TensorPoly normal form, and the full-key order of its terms that
+    the renderers' display order relies on."""
+    p = reduce_expr(parse(expr)).poly
+    assert _ascending([struct for struct, _ in p.groups])
+    assert all(monos and _ascending([dots for dots, _ in monos]) for _, monos in p.groups)
+    nums = [n for _, monos in p.groups for _, n in monos]
+    assert all(nums) and p.den >= 1 and math.gcd(p.den, *nums) == 1
+    assert _ascending([t.key for t in p.terms])
 
 
 @pytest.mark.parametrize("expr", [e["expr"] for e in DIGESTS] + list(PROBES))

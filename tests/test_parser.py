@@ -30,7 +30,7 @@ from cartensor.reduce import (Couple, Harmonic, InvalidExpr, ReductionResult, ex
                               expr_rank, reduce_expr, validate_expr)
 from cartensor.tensor import TensorPoly, TensorTerm
 
-from helpers import reference_render, reference_render_json
+from helpers import poly_of, reference_render, reference_render_json
 
 
 def _reduce(src):
@@ -339,14 +339,14 @@ def _polys(draw):
     coefficients, a prefactor with rat 1 (ATOM_ONE when zero)."""
     keys = sorted(set(draw(st.lists(_term_keys(), max_size=8))))
     terms = tuple(TensorTerm(draw(_COEFFS), *k) for k in keys)
-    return TensorPoly(_RANK, terms, draw(_PREFACTORS) if terms else ATOM_ONE)
+    return poly_of(_RANK, terms, draw(_PREFACTORS) if terms else ATOM_ONE)
 
 
 def _poly(prefactor, *terms):
     """A poly of (coeff, key fields) terms, put in key order."""
     terms = sorted((TensorTerm(Fraction(c), **fields) for c, fields in terms),
                    key=lambda t: t.key)
-    return TensorPoly(_RANK, tuple(terms), prefactor)
+    return poly_of(_RANK, terms, prefactor)
 
 
 _ECHO = parse("Y[1](a)")

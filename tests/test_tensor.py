@@ -5,13 +5,16 @@ normalized even/odd pair couplings, epsilon/delta simplification, and the
 combinatorial term counts of the symmetrized embeddings.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul, square_free_split
 from cartensor.tensor import (
     TensorPoly,
@@ -32,9 +35,9 @@ from cartensor.tensor import (
 )
 
 from helpers import (couple_constant, cross_vector, full_contract, odd_norm_probe, poly_neg,
-                     poly_sub, scalar_poly)
+                     poly_of, poly_sub, scalar_poly)
 
-DELTA = TensorPoly(2, (TensorTerm(Fraction(1), deltas=((0, 1),)),))
+DELTA = poly_of(2, [TensorTerm(Fraction(1), deltas=((0, 1),))])
 
 
 def coeff_of(poly, **parts):
@@ -259,11 +262,11 @@ class TestSymmetrizedEmbed:
     ])
     def test_count_matches_formula(self, g1, g2, r):
         total = g1 + g2 + 2 * r
-        core = TensorPoly(
+        core = poly_of(
             g1 + g2,
-            (TensorTerm(Fraction(1),
+            [TensorTerm(Fraction(1),
                         vecs=tuple([('a', i) for i in range(g1)]
-                                   + [('b', g1 + i) for i in range(g2)])),))
+                                   + [('b', g1 + i) for i in range(g2)]))])
         p = symmetrized_embed(core, (g1, g2), r, total)
         expected = (math.factorial(total)
                     // (math.factorial(g1) * math.factorial(g2)
@@ -364,7 +367,7 @@ class TestOddCoupling:
         # (a.b)(a x b)_i
         p = couple_odd(harmonic_tensor('a', 2), harmonic_tensor('b', 2), 1)
         expect = poly_scale(cross_vector('a', 'b'), atom(1))
-        expect = TensorPoly(1, tuple(
+        expect = poly_of(1, tuple(
             TensorTerm(t.coeff, t.vecs, t.deltas, t.epses,
                        t.dots + (('a', 'b', 1),), t.boxes)
             for t in expect.terms), expect.prefactor)
@@ -405,3 +408,28 @@ class TestContractions:
 
     def test_couple_constant_simple(self):
         assert couple_constant(1, 1, 2).to_float() == pytest.approx(1.0)
+
+
+def _called_name(node) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_the_terms_view_reads_or_builds_terms():
+    """The package holds one model, the grouped form: no code but the
+    TensorPoly.terms view reads .terms or builds a TensorTerm."""
+    found, views = [], 0
+    for path in sorted(Path(tensor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        view = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                and c.name == "TensorPoly" for f in c.body
+                if isinstance(f, ast.FunctionDef) and f.name == "terms" for n in ast.walk(f)}
+        views += bool(view)
+        for node in ast.walk(tree):
+            if id(node) in view:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "terms":
+                found.append(f"{path.name}:{node.lineno} reads .terms")
+            if isinstance(node, ast.Call) and _called_name(node) == "TensorTerm":
+                found.append(f"{path.name}:{node.lineno} builds a TensorTerm")
+    assert views == 1 and not found
