@@ -229,20 +229,6 @@ SUM_ONE = CoeffSum.from_atom(ATOM_ONE)
 
 
 # ---------------------------------------------------------------------------
-# Derived constructors used across the engine
-# ---------------------------------------------------------------------------
-
-def sqrt_rational(x) -> CoeffAtom:
-    """sqrt(x) for rational x > 0, as a canonical atom."""
-    return atom(1, Fraction(x))
-
-
-def hat(l: int) -> CoeffAtom:
-    """sqrt(2l+1)."""
-    return sqrt_rational(2 * l + 1)
-
-
-# ---------------------------------------------------------------------------
 # JSON serialization of atoms
 # ---------------------------------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 Evaluates coupled spherical-harmonic expressions directly from their
 definition (associated-Legendre recurrences plus explicit Clebsch-Gordan
-sums) and compares them against the reduced Cartesian polynomials, bridging
-rank-L output through the unitary component map when needed.
+sums) and compares them against the reduced Cartesian polynomials, each
+projected onto its 2L+1 spherical components through the unitary component
+map ``u_matrix(L)`` (at rank 0 the map is 1).
 
 What the oracle shares with the symbolic engine is the parser, the
 CouplingExpr tree and the TensorPoly data it is asked to check; a
@@ -17,11 +18,12 @@ Each symbol's samples come from one random stream of its own, a keyed child
 of the seed (``sample_unit_vectors``), so sample i is the same whatever the
 sample count, redraws of near-zero draws included.
 
-The terms of one group, which share a tensor structure, are evaluated as one
-block.  For a rank-L root verify projects each delta-free block onto the 2L+1
-spherical components through the bridge ``u_matrix(L)``, so it never builds the
-rank-L tensor at every sample; the rows of U are symmetric and traceless, so a
-term with a Kronecker delta projects to zero and is skipped.
+A symmetric traceless rank-L tensor is determined by those 2L+1 components,
+and they are all verify compares, so the oracle never builds the rank-L
+tensor at every sample.  The terms of one group, which share a tensor
+structure, are evaluated as one block, projected in sample chunks of bounded
+size; the rows of U are symmetric and traceless, so a term with a Kronecker
+delta projects to zero and is skipped.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from .tensor import TensorPoly
 
 DEFAULT_SEED = 20240831
 
-# Axis letters of a delta view; "z" is the sample axis.
-_AXES = "abcdefghijklmnopqrstuvwxy"
+# The most entries of one block in eval_poly_batch (32 MiB of floats), which
+# bounds the oracle's memory whatever the sample count.
+_BLOCK_FLOATS = 2 ** 22
 _LEVI = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _LEVI[_i, _j, _k], _LEVI[_i, _k, _j] = 1.0, -1.0
@@ -193,32 +196,6 @@ def _det_rows(w1, w2, w3):
     return np.sum(np.atleast_2d(w1) * np.atleast_2d(c), axis=-1)
 
 
-@lru_cache(maxsize=None)
-def _delta_view(rank: int, deltas: tuple) -> tuple:
-    """How a term's deltas lay out its slots; cached per (rank, deltas).
-
-    Canonical deltas are disjoint pairs (i, j) with i < j, and every other
-    slot carries a vector or an epsilon entry.  Returns
-      * block: each slot's axis in the term's block, which has one axis per
-        slot outside the deltas, in slot order; None for a delta slot;
-      * view, shape: einsum subscripts that take the diagonal view the deltas
-        select from a (3,)*rank + (n,) output, and the block's shape in that
-        view (size 1 on the axis a delta pair shares).
-    """
-    rep = list(range(rank))
-    for i, j in deltas:
-        rep[j] = i
-    order = sorted(set(rep))
-    axes = [order.index(r) for r in rep]
-    paired = {axes[i] for pair in deltas for i in pair}
-    kept = [a for a in range(len(order)) if a not in paired]
-    block = tuple(None if axes[slot] in paired else kept.index(axes[slot])
-                  for slot in range(rank))
-    view = "".join(_AXES[a] for a in axes) + "z->" + _AXES[:len(order)] + "z"
-    shape = tuple(1 if a in paired else 3 for a in range(len(order)))
-    return block, view, shape
-
-
 def _eps_factor(eps: tuple, n_axes: int, cols: dict) -> np.ndarray:
     """The Levi-Civita tensor contracted with the symbol entries of eps, with
     each free entry ('f', a) on axis a of a block of n_axes axes, broadcastable
@@ -261,76 +238,51 @@ def _scalar_part(monos, tboxes: tuple, den: int, vecs: dict, n: int, dots: dict,
     return total
 
 
-def _block(vec_axes: tuple, epses: tuple, p: int, cols: dict, n: int) -> np.ndarray:
-    """The product of a structure's vector and epsilon factors over its p
-    block axes, as a (3**p, n) matrix."""
+def _block(tvecs: tuple, epses: tuple, L: int, cols: dict, n: int) -> np.ndarray:
+    """The product of a delta-free structure's vector and epsilon factors over
+    its L slots, as a (3**L, n) matrix."""
     prod = np.ones(n)
-    for s, a in vec_axes:
-        prod = prod * cols[s].reshape((3,) + (1,) * (p - 1 - a) + (n,))
+    for s, a in tvecs:
+        prod = prod * cols[s].reshape((3,) + (1,) * (L - 1 - a) + (n,))
     for e in epses:
-        prod = prod * _eps_factor(e, p, cols)
-    return np.broadcast_to(prod, (3,) * p + (n,)).reshape(3 ** p, n)
+        prod = prod * _eps_factor(e, L, cols)
+    return np.broadcast_to(prod, (3,) * L + (n,)).reshape(3 ** L, n)
 
 
-def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int,
-                    bridge: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate at n configurations.
+def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int) -> np.ndarray:
+    """The 2L+1 spherical components u_matrix(L) @ T of the rank-L tensor T at
+    n configurations, shape (2L+1, n), complex; T itself is never built.
 
-    With bridge None the result is the full tensor, shape (3,)*rank + (n,),
-    real when the imaginary part is negligible.  With a (rows, 3**rank)
-    bridge whose rows are traceless over every slot pair, such as
-    u_matrix(rank), it is bridge @ (the tensor reshaped to (3**rank, n)),
-    shape (rows, n), and the tensor is never built.  Such a bridge maps every
-    term with a Kronecker delta to zero, so those terms are skipped; for any
-    other bridge the result leaves them out.
-
-    The terms of one group, one structure, are evaluated together: their
-    scalar parts are summed first, then the structure's vector and epsilon
-    factors form one block over its slots outside the deltas, built once for
-    all structures that lay those factors out alike.
-    In full mode each block times its scalar part is added into the diagonal
-    view of the output that the deltas select.  In bridge mode the bridge's
-    real and imaginary rows, stacked, multiply the block, so the block stays
-    real.  The prefactor is applied once, at the end.
+    The rows of U are symmetric and traceless over every slot pair, so a term
+    with a Kronecker delta projects to zero and is skipped.  Every other slot
+    of a structure carries a vector or an epsilon entry, so its vector and
+    epsilon factors form one (3**L, n) block, built once for all structures
+    that share them, in chunks of at most _BLOCK_FLOATS entries.  The real and
+    imaginary rows of U, stacked, project each block once, and each
+    structure's scalar part scales that projection.  The prefactor is applied
+    once, at the end.
     """
-    L = poly.rank
+    L, rows = poly.rank, 2 * poly.rank + 1
+    U = u_matrix(L).reshape(rows, 3 ** L)
+    stacked = np.concatenate([U.real, U.imag])
     cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}
-    if bridge is None:
-        out = np.zeros((3,) * L + (n,))
-    else:
-        rows = len(bridge)
-        stacked = np.concatenate([bridge.real, bridge.imag])
-        out = np.zeros((2 * rows, n))
+    chunk = max(1, _BLOCK_FLOATS // 3 ** L)
     layouts, dots, boxes = {}, {}, {}
     for (tvecs, deltas, epses, tboxes), monos in poly.groups:
-        if deltas and bridge is not None:
-            continue
-        axis = _delta_view(L, deltas)[0]
-        layout = (tuple((s, axis[slot]) for s, slot in tvecs),
-                  tuple(tuple((k, axis[x]) if k == 'f' else (k, x) for k, x in e)
-                        for e in epses))
-        layouts.setdefault(layout, []).append((deltas, tboxes, monos))
-    # One scalar part at a time, so the call holds no array per structure.
-    for (vec_axes, eps_axes), parts in layouts.items():
-        p = len(vec_axes) + sum(k == 'f' for e in eps_axes for k, _ in e)
-        block = _block(vec_axes, eps_axes, p, cols, n)
-        for deltas, tboxes, monos in parts:
-            scalar = _scalar_part(monos, tboxes, poly.den, vecs, n, dots, boxes)
-            if bridge is None:
-                _, view, shape = _delta_view(L, deltas)
-                target = np.einsum(view, out) if deltas else out
-                target += (block * scalar).reshape(shape + (n,))
-            else:
-                out += (stacked @ block) * scalar
-    pref = poly.prefactor.to_complex()
-    if bridge is not None:
-        return (out[:rows] + 1j * out[rows:]) * pref
-    if not pref.imag:
-        return out * pref.real
-    out = out * pref
-    if np.max(np.abs(out.imag)) < 1e-12 * (1.0 + np.max(np.abs(out.real))):
-        return out.real
-    return out
+        if not deltas:
+            layouts.setdefault((tvecs, epses), []).append((tboxes, monos))
+    out = np.zeros((2 * rows, n))
+    for (tvecs, epses), parts in layouts.items():
+        projected = np.empty((2 * rows, n))
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            part = {s: c[:, lo:hi] for s, c in cols.items()}
+            projected[:, lo:hi] = stacked @ _block(tvecs, epses, L, part, hi - lo)
+        # One scalar part at a time, so the call holds no array per structure.
+        for tboxes, monos in parts:
+            out += projected * _scalar_part(monos, tboxes, poly.den, vecs, n,
+                                            dots, boxes)
+    return (out[:rows] + 1j * out[rows:]) * poly.prefactor.to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +383,11 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     vecs = sample_unit_vectors(seed, n_samples, syms)
     S = eval_expr_components(expr, vecs)
     L = result.poly.rank
-    if result.true_scalar or L == 0:
-        P = eval_poly_batch(result.poly, vecs, n_samples)
-        pred = rho_float(0) * P if not result.true_scalar else P
-        abs_err = np.abs(S[:1] - pred)
-        leak = float(np.max(np.abs(S[0].imag)))
-    else:
-        U = u_matrix(L).reshape(2 * L + 1, 3 ** L)
-        preds = rho_float(L) * eval_poly_batch(result.poly, vecs, n_samples, bridge=U)
-        abs_err = np.abs(S - preds)
-        leak = 0.0
+    preds = eval_poly_batch(result.poly, vecs, n_samples)
+    if not result.true_scalar:
+        preds = rho_float(L) * preds
+    abs_err = np.abs(S - preds)
+    leak = float(np.max(np.abs(S[0].imag))) if L == 0 else 0.0
     row, sample = np.unravel_index(int(np.argmax(abs_err)), abs_err.shape)
     err = float(abs_err[row, sample])
     scale = float(np.max(np.abs(S)))

@@ -212,7 +212,7 @@ class ReductionResult:
     poly: TensorPoly
     parity: str               # "even" | "odd": parity of (sum of degrees - rank)
     factor_trace: tuple       # ((label, CoeffAtom), ...) in application order
-    true_scalar: bool         # root coupling to L=0 (no spherical bridge)
+    true_scalar: bool         # root coupling to L=0 (no rho(0) factor)
 
     @property
     def rank(self) -> int:

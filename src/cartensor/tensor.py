@@ -647,12 +647,11 @@ def _product_factor(p1: TensorPoly, p2: TensorPoly, scale: CoeffAtom) -> CoeffAt
     return atom_mul(atom_mul(p1.prefactor, p2.prefactor), scale)
 
 
-def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs,
-                   scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """Contract specific slot pairs (i in p1, j in p2), times the atom scale.
-    Surviving p1 slots come first (in order), then surviving p2 slots."""
+def contract_slots(p1: TensorPoly, p2: TensorPoly, pairs) -> TensorPoly:
+    """Contract specific slot pairs (i in p1, j in p2).  Surviving p1 slots
+    come first (in order), then surviving p2 slots."""
     return _from_numerators(*_contract_raw(_thaw(p1), _thaw(p2), pairs),
-                            _product_factor(p1, p2, scale))
+                            _product_factor(p1, p2, ATOM_ONE))
 
 
 def _bonds(rank1: int, rank2: int, k: int) -> list:
@@ -663,11 +662,10 @@ def _bonds(rank1: int, rank2: int, k: int) -> list:
     return [(rank1 - k + t, t) for t in range(k)]
 
 
-def contract(p1: TensorPoly, p2: TensorPoly, k: int,
-             scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
+def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
     """Contract the last k slots of p1 with the first k slots of p2 (k=0 is the
-    outer product), times the atom scale."""
-    return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k), scale)
+    outer product)."""
+    return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k))
 
 
 def _term_count(raw: dict) -> int:
@@ -700,8 +698,8 @@ def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
 
 def traceless_contract(A: TensorPoly, B: TensorPoly, k: int,
                        scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """contract(A, B, k, scale) for symmetric traceless A and B (a
-    precondition), without the products that sum to zero; see _traceless_raw."""
+    """contract(A, B, k) times the atom scale, for symmetric traceless A and B
+    (a precondition), minus the products that sum to zero (_traceless_raw)."""
     return _from_numerators(*_traceless_raw(_thaw(A), _thaw(B), k),
                             _product_factor(A, B, scale))
 

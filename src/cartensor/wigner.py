@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import ATOM_ZERO, CoeffAtom, atom, factorial, hat, atom_mul
+from .coeff import ATOM_ZERO, CoeffAtom, atom, factorial, atom_mul
 
 
 def triangle_ok(l1: int, l2: int, l3: int) -> bool:
@@ -66,5 +66,5 @@ def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> Coef
     if tj.rat == 0:
         return ATOM_ZERO
     sign = -1 if (l1 - l2 + m3) % 2 else 1
-    return atom_mul(atom(sign), atom_mul(hat(l3), tj))
+    return atom_mul(atom(sign), atom_mul(atom(1, 2 * l3 + 1), tj))
 

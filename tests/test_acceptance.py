@@ -35,7 +35,6 @@ from cartensor.oracle import (
     eval_expr,
     eval_poly_batch,
     sample_unit_vectors,
-    u_matrix,
     verify,
 )
 from cartensor.parser import parse, render_expr_text
@@ -450,9 +449,7 @@ class TestSameArgumentConstant:
         vecs = sample_unit_vectors(77, n, ["a"])
 
         def sph(l):
-            return np.tensordot(u_matrix(l),
-                                eval_poly_batch(harmonic_tensor("a", l),
-                                                vecs, n), axes=l)
+            return eval_poly_batch(harmonic_tensor("a", l), vecs, n)
 
         A, B, T = sph(l1), sph(l2), sph(l3)
         coupled = np.zeros((2 * l3 + 1, n), dtype=complex)

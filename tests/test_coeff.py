@@ -21,8 +21,6 @@ from cartensor.coeff import (
     atom_to_json,
     double_factorial,
     factorial,
-    hat,
-    sqrt_rational,
     square_free_split,
 )
 
@@ -116,20 +114,18 @@ class TestAtom:
     def test_zero(self):
         assert atom_canonical(atom(0, 7, 3, 1)) == ATOM_ZERO
 
+    def test_square_root_of_2l_plus_1(self):
+        # sqrt(2l+1), the hat factor of a Clebsch-Gordan coefficient
+        assert atom(1, 1) == ATOM_ONE
+        assert atom(1, 9) == atom(3)
+        for l in range(8):
+            assert atom(1, 2 * l + 1).to_complex() == pytest.approx(math.sqrt(2 * l + 1))
 
-class TestHelpers:
-    def test_hat(self):
-        assert atom_canonical(hat(0)) == atom_canonical(ATOM_ONE)
-        assert atom_canonical(hat(1)) == atom_canonical(atom(1, 3))
-        assert atom_canonical(hat(2)) == atom_canonical(atom(1, 5))
+    def test_square_root_of_perfect_square(self):
+        assert atom(1, Fraction(4, 9)) == atom(Fraction(2, 3))
 
-    def test_sqrt_rational_perfect_square(self):
-        a = atom_canonical(sqrt_rational(Fraction(4, 9)))
-        assert a == atom_canonical(atom(Fraction(2, 3)))
-
-    def test_sqrt_rational_irrational(self):
-        a = atom_canonical(sqrt_rational(Fraction(3, 2)))
-        assert a == atom_canonical(atom(Fraction(1, 2), 6))
+    def test_square_root_of_irrational(self):
+        assert atom(1, Fraction(3, 2)) == atom(Fraction(1, 2), 6)
 
 
 class TestSum:
