@@ -178,15 +178,15 @@ class TestUMatrixBridge:
                 for j in range(i + 1, L + 1):
                     assert np.abs(np.trace(U, axis1=i, axis2=j)).max() < 1e-14
 
-    def test_tensor_to_spherical_components(self):
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 8])
+    def test_tensor_to_spherical_components(self, l):
         """rho(l) * U . T^(l)(v) reproduces the harmonic components."""
         vecs = sample_unit_vectors(123, 6, ["a"])
         uvs = [UnitVector(*vecs["a"][i]) for i in range(6)]
-        for l in (0, 1, 2, 3, 4, 8):
-            sph = rho_float(l) * eval_poly_batch(harmonic_tensor("a", l), vecs, 6)
-            direct = np.array([[ylm(l, m, uv) for uv in uvs]
-                               for m in range(-l, l + 1)])
-            assert np.abs(sph - direct).max() < 1e-12
+        sph = rho_float(l) * eval_poly_batch(harmonic_tensor("a", l), vecs, 6)
+        direct = np.array([[ylm(l, m, uv) for uv in uvs]
+                           for m in range(-l, l + 1)])
+        assert np.abs(sph - direct).max() < 1e-12
 
 
 class TestSameArgumentCoupling:
@@ -456,9 +456,19 @@ class TestEvalPolyBatch:
     def test_hand_built(self, name, vecs):
         self._check(HAND_POLYS[name], vecs, 17)
 
-    def test_zero_polynomial(self, vecs):
-        got = eval_poly_batch(TensorPoly(3), vecs, 17)
-        assert got.shape == (7, 17) and not np.any(got)
+    PARTS = [(f"{name}:{i}", poly) for name in sorted(HAND_POLYS)
+             for i, poly in enumerate(HAND_POLYS[name])]
+
+    @pytest.mark.parametrize("name, poly", PARTS, ids=[p[0] for p in PARTS])
+    def test_each_part(self, name, poly, vecs):
+        """Each structure alone, against its own scale: a part made only of
+        delta terms must project to rounding noise of that part."""
+        self._check([poly], vecs, 17)
+
+    @pytest.mark.parametrize("L", range(5))
+    def test_zero_polynomial(self, L, vecs):
+        got = eval_poly_batch(TensorPoly(L), vecs, 17)
+        assert got.shape == (2 * L + 1, 17) and not np.any(got)
 
     REDUCTIONS = [
         "[Y[2](a) x Y[2](b)][1]",
