@@ -19,11 +19,12 @@ of the seed (``sample_unit_vectors``), so sample i is the same whatever the
 sample count, redraws of near-zero draws included.
 
 A symmetric traceless rank-L tensor is determined by those 2L+1 components,
-and they are all verify compares, so the oracle never builds the rank-L
-tensor at every sample.  The terms of one group, which share a tensor
-structure, are evaluated as one block, projected in sample chunks of bounded
-size; the rows of U are symmetric and traceless, so a term with a Kronecker
-delta projects to zero and is skipped.
+and they are all verify compares.  The rows of U are symmetric, so U sees
+only the symmetric part of a term, and a symmetric rank-L tensor is a
+homogeneous degree-L polynomial in X = (x, y, z): the oracle holds every such
+quantity, U's rows included, as its (L+1)^2 coefficients, never as 3^L index
+tuples.  The rows are also traceless, so a term with a Kronecker delta
+projects to zero and is skipped.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ from .reduce import (CouplingExpr, Harmonic, ReductionResult, expr_leaves,
 from .tensor import TensorPoly
 
 DEFAULT_SEED = 20240831
-
-# The most entries of one block in eval_poly_batch (32 MiB of floats), which
-# bounds the oracle's memory whatever the sample count.
-_BLOCK_FLOATS = 2 ** 22
-_LEVI = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _LEVI[_i, _j, _k], _LEVI[_i, _k, _j] = 1.0, -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -133,31 +127,36 @@ def _ylm_matrix(l: int, xyz: np.ndarray) -> np.ndarray:
     ph = x + 1j * y
     vals = np.zeros((2 * l + 1, n), dtype=complex)
     for m in range(l + 1):
-        # P_m^m carried with phase: (-1)^m (2m-1)!! (x+iy)^m
-        pmm = ((-1) ** m) * float(double_factorial(2 * m - 1)) * ph ** m
-        if l == m:
-            plm = pmm
-        else:
-            pprev = pmm
-            pcur = z * (2 * m + 1) * pmm
-            for ll in range(m + 2, l + 1):
-                pnext = (z * (2 * ll - 1) * pcur - (ll + m - 1) * pprev) / (ll - m)
-                pprev, pcur = pcur, pnext
-            plm = pcur
+        # P_m^m carried with phase, (-1)^m (2m-1)!! (x+iy)^m, then up in
+        # degree to P_l^m, from P_(m-1)^m = 0.
+        pprev, pcur = 0.0, ((-1) ** m) * float(double_factorial(2 * m - 1)) * ph ** m
+        for ll in range(m + 1, l + 1):
+            pprev, pcur = pcur, (z * (2 * ll - 1) * pcur - (ll + m - 1) * pprev) / (ll - m)
         norm = math.sqrt((2 * l + 1) / (4 * math.pi)
                          * factorial(l - m) / factorial(l + m))
-        vals[l + m] = norm * plm
+        vals[l + m] = norm * pcur
         if m:
             vals[l - m] = ((-1) ** m) * np.conj(vals[l + m])
     return vals * (-1j) ** l
+
+
+def _unit_row(v) -> np.ndarray:
+    """v as a (1, 3) row.  The recurrences hold on the unit sphere only, so
+    a zero, non-finite or non-unit v (norm off 1 by over 1e-9) is a
+    ValueError."""
+    row = np.asarray(v, dtype=float).reshape(1, 3)
+    norm = float(np.linalg.norm(row))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"expected a finite unit vector, got {row[0].tolist()} "
+                         f"of norm {norm}")
+    return row
 
 
 def ylm(l: int, m: int, v) -> complex:
     """Single contrastandard spherical-harmonic component at a unit vector."""
     if abs(m) > l:
         raise ValueError("|m| must not exceed l")
-    arr = np.asarray(v, dtype=float).reshape(1, 3)
-    return complex(_ylm_matrix(l, arr)[l + m, 0])
+    return complex(_ylm_matrix(l, _unit_row(v))[l + m, 0])
 
 
 def eval_expr_components(expr: CouplingExpr, vecs: dict) -> np.ndarray:
@@ -172,51 +171,82 @@ def eval_expr_components(expr: CouplingExpr, vecs: dict) -> np.ndarray:
     out = np.zeros((2 * L + 1, A.shape[1]), dtype=complex)
     for m1 in range(-l1, l1 + 1):
         for m2 in range(-l2, l2 + 1):
-            M = m1 + m2
-            if abs(M) > L:
-                continue
-            c = cg(l1, m1, l2, m2, L, M)
+            c = cg(l1, m1, l2, m2, L, m1 + m2)   # zero where |m1 + m2| > L
             if c:
-                out[M + L] += c * A[m1 + l1] * B[m2 + l2]
+                out[m1 + m2 + L] += c * A[m1 + l1] * B[m2 + l2]
     return out
 
 
 def eval_expr(expr: CouplingExpr, assignment: dict) -> np.ndarray:
     """Components m = -L..L at a single configuration; shape (2L+1,)."""
-    vecs = {s: np.asarray(v, dtype=float).reshape(1, 3) for s, v in assignment.items()}
+    vecs = {s: _unit_row(v) for s, v in assignment.items()}
     return eval_expr_components(expr, vecs)[:, 0]
+
+
+# ---------------------------------------------------------------------------
+# Symmetric tensors as polynomials
+# ---------------------------------------------------------------------------
+# A symmetric rank-d tensor S is held as the polynomial S . X^d: a grid of
+# shape (d+1, d+1), or (d+1, d+1, n) at n samples, whose [a, b] is the
+# coefficient of x^a y^b z^(d-a-b); entries with a + b > d are zero.  S at an
+# index tuple with a x's and b y's is grid[a, b] over the number of such
+# tuples, the multinomial d! / (a! b! (d-a-b)!).
+
+def _times(grid: np.ndarray, f) -> np.ndarray:
+    """grid times the linear form f . X, f = (f_x, f_y, f_z) of scalars or of
+    (n,) rows: one degree higher."""
+    k = grid.shape[0]
+    out = np.zeros((k + 1, k + 1) + grid.shape[2:], np.result_type(grid, f[0]))
+    out[:k, :k] = grid * f[2]
+    out[1:, :k] += grid * f[0]
+    out[:k, 1:] += grid * f[1]
+    return out
+
+
+_R2 = 1.0 / math.sqrt(2.0)
+# Rows m = -1, 0, 1 of u_matrix(1): the contrastandard basis vectors.
+_U1 = np.array([(-1j * _R2, -_R2, 0.0), (0.0, 0.0, -1j), (1j * _R2, -_R2, 0.0)])
+
+
+@lru_cache(maxsize=None)
+def _u_poly(L: int) -> np.ndarray:
+    """Row M of u_matrix(L) as a polynomial grid, M = -L..L; shape
+    (2L+1, L+1, L+1).  Rank L couples rank L-1 with rank 1 by maximal
+    Clebsch-Gordan weights, so each row is a sum of rows of rank L-1 times
+    linear forms."""
+    if L == 0:
+        return np.ones((1, 1, 1), dtype=complex)
+    prev = _u_poly(L - 1)
+    out = np.zeros((2 * L + 1, L + 1, L + 1), dtype=complex)
+    for M in range(-L, L + 1):
+        for m2 in (-1, 0, 1):
+            c = cg(L - 1, M - m2, 1, m2, L, M)
+            if c:
+                out[M + L] += c * _times(prev[M - m2 + L - 1], _U1[m2 + 1])
+    out.setflags(write=False)
+    return out
+
+
+def _u_entries(L: int) -> np.ndarray:
+    """The distinct entries of u_matrix(L): [M, a, b] is row M at the index
+    tuples with a x's and b y's; zero where a + b > L."""
+    counts = np.ones((1, 1))
+    for _ in range(L):
+        counts = _times(counts, (1.0, 1.0, 1.0))
+    return _u_poly(L) / np.maximum(counts, 1.0)
+
+
+def u_matrix(L: int) -> np.ndarray:
+    """Map from rank-L Cartesian index tuples to components m = -L..L, shape
+    (2L+1,) + (3,)*L; its rows are symmetric and traceless.  Expanded on each
+    call from the polynomial of each row; the oracle never builds it."""
+    idx = np.indices((3,) * L)
+    return _u_entries(L)[:, np.sum(idx == 0, axis=0), np.sum(idx == 1, axis=0)]
 
 
 # ---------------------------------------------------------------------------
 # Cartesian polynomial evaluation
 # ---------------------------------------------------------------------------
-
-def _det_rows(w1, w2, w3):
-    c = np.cross(w2, w3)
-    return np.sum(np.atleast_2d(w1) * np.atleast_2d(c), axis=-1)
-
-
-def _eps_factor(eps: tuple, n_axes: int, cols: dict) -> np.ndarray:
-    """The Levi-Civita tensor contracted with the symbol entries of eps, with
-    each free entry ('f', a) on axis a of a block of n_axes axes, broadcastable
-    against (3,)*n_axes + (n,)."""
-    ops, subs, free = [_LEVI], ["abc"], []
-    for c, (kind, x) in zip("abc", eps):
-        if kind == 'f':
-            free.append((x, c))
-        else:
-            ops.append(cols[x])
-            subs.append(c + "z")
-    free.sort()
-    tail = "z" if len(ops) > 1 else ""
-    block = np.einsum(",".join(subs) + "->" + "".join(c for _, c in free) + tail,
-                      *ops)
-    lo = free[0][0]
-    shape = [1] * (n_axes - lo) + [block.shape[-1] if tail else 1]
-    for a, _ in free:
-        shape[a - lo] = 3
-    return block.reshape(shape)
-
 
 def _scalar_part(monos, tboxes: tuple, den: int, vecs: dict, n: int, dots: dict,
                  boxes: dict) -> np.ndarray:
@@ -233,92 +263,57 @@ def _scalar_part(monos, tboxes: tuple, den: int, vecs: dict, n: int, dots: dict,
         total += value
     for b in tboxes:
         if b not in boxes:
-            boxes[b] = _det_rows(vecs[b[0]], vecs[b[1]], vecs[b[2]])
+            boxes[b] = np.sum(vecs[b[0]] * np.cross(vecs[b[1]], vecs[b[2]]), axis=1)
         total = total * boxes[b]
     return total
 
 
-def _block(tvecs: tuple, epses: tuple, L: int, cols: dict, n: int) -> np.ndarray:
-    """The product of a delta-free structure's vector and epsilon factors over
-    its L slots, as a (3**L, n) matrix."""
-    prod = np.ones(n)
-    for s, a in tvecs:
-        prod = prod * cols[s].reshape((3,) + (1,) * (L - 1 - a) + (n,))
+def _slot_vectors(tvecs: tuple, epses: tuple):
+    """The vectors on the slots of a delta-free structure, in no slot order: a
+    symbol, or (s1, s2) for s1 x s2; None if the structure projects to zero.
+    An epsilon with one free slot puts there the cross product of the entries
+    that follow it, cyclically; one with two or more free slots is
+    antisymmetric in them, so it projects to zero as a delta does."""
+    out = sorted(s for s, _ in tvecs)
     for e in epses:
-        prod = prod * _eps_factor(e, L, cols)
-    return np.broadcast_to(prod, (3,) * L + (n,)).reshape(3 ** L, n)
+        free = [p for p, (kind, _) in enumerate(e) if kind == 'f']
+        if len(free) > 1:
+            return None
+        out.append((e[free[0] - 2][1], e[free[0] - 1][1]))
+    return tuple(out)
 
 
 def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int) -> np.ndarray:
     """The 2L+1 spherical components u_matrix(L) @ T of the rank-L tensor T at
     n configurations, shape (2L+1, n), complex; T itself is never built.
 
-    The rows of U are symmetric and traceless over every slot pair, so a term
-    with a Kronecker delta projects to zero and is skipped.  Every other slot
-    of a structure carries a vector or an epsilon entry, so its vector and
-    epsilon factors form one (3**L, n) block, built once for all structures
-    that share them, in chunks of at most _BLOCK_FLOATS entries.  The real and
-    imaginary rows of U, stacked, project each block once, and each
-    structure's scalar part scales that projection.  The prefactor is applied
-    once, at the end.
+    The rows of U are symmetric and traceless, so U sees only the symmetric
+    part of each term, and a term with a delta, or an epsilon on two free
+    slots, projects to zero and is skipped.  Any other term is its scalar part
+    times the product of its L slot vectors, whose symmetric part is the
+    product of their linear forms, a polynomial grid.  Structures with the
+    same slot vectors in any order share one grid, built from the sum of
+    their scalar parts.  The grids are summed and projected once, through the
+    distinct entries of U, and the prefactor is applied at the end.
     """
     L, rows = poly.rank, 2 * poly.rank + 1
-    U = u_matrix(L).reshape(rows, 3 ** L)
-    stacked = np.concatenate([U.real, U.imag])
-    cols = {s: np.ascontiguousarray(v.T) for s, v in vecs.items()}
-    chunk = max(1, _BLOCK_FLOATS // 3 ** L)
-    layouts, dots, boxes = {}, {}, {}
+    scalars, dots, boxes = {}, {}, {}
     for (tvecs, deltas, epses, tboxes), monos in poly.groups:
-        if not deltas:
-            layouts.setdefault((tvecs, epses), []).append((tboxes, monos))
-    out = np.zeros((2 * rows, n))
-    for (tvecs, epses), parts in layouts.items():
-        projected = np.empty((2 * rows, n))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            part = {s: c[:, lo:hi] for s, c in cols.items()}
-            projected[:, lo:hi] = stacked @ _block(tvecs, epses, L, part, hi - lo)
-        # One scalar part at a time, so the call holds no array per structure.
-        for tboxes, monos in parts:
-            out += projected * _scalar_part(monos, tboxes, poly.den, vecs, n,
-                                            dots, boxes)
-    return (out[:rows] + 1j * out[rows:]) * poly.prefactor.to_complex()
-
-
-# ---------------------------------------------------------------------------
-# Component bridge (Cartesian tensor -> spherical components)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def u_matrix(L: int) -> np.ndarray:
-    """Map from rank-L Cartesian index tuples to components m = -L..L.
-
-    Row m of u_matrix(1) is the contrastandard basis vector for component m;
-    higher L is built by coupling with maximal Clebsch-Gordan weights.
-    Shape (2L+1,) + (3,)*L.
-    """
-    if L == 0:
-        return np.ones((1,))
-    u1 = np.zeros((3, 3), dtype=complex)
-    r2 = 1.0 / math.sqrt(2.0)
-    u1[0] = (-1j * r2, -r2, 0.0)   # m = -1
-    u1[1] = (0.0, 0.0, -1j)        # m = 0
-    u1[2] = (1j * r2, -r2, 0.0)    # m = +1
-    if L == 1:
-        u1.setflags(write=False)
-        return u1
-    prev = u_matrix(L - 1)
-    out = np.zeros((2 * L + 1,) + (3,) * L, dtype=complex)
-    for M in range(-L, L + 1):
-        for m1 in range(-(L - 1), L):
-            m2 = M - m1
-            if abs(m2) > 1:
-                continue
-            c = cg(L - 1, m1, 1, m2, L, M)
-            if c:
-                out[M + L] += c * np.multiply.outer(prev[m1 + L - 1], u1[m2 + 1])
-    out.setflags(write=False)
-    return out
+        key = None if deltas else _slot_vectors(tvecs, epses)
+        if key is not None:
+            s = _scalar_part(monos, tboxes, poly.den, vecs, n, dots, boxes)
+            scalars[key] = scalars[key] + s if key in scalars else s
+    forms = {s: tuple(np.ascontiguousarray(v.T)) for s, v in vecs.items()}
+    total = np.zeros((L + 1, L + 1, n))
+    for key, scalar in scalars.items():
+        grid = scalar.reshape(1, 1, n)
+        for f in key:
+            if f not in forms:
+                forms[f] = tuple(np.cross(vecs[f[0]], vecs[f[1]]).T)
+            grid = _times(grid, forms[f])
+        total += grid
+    projected = _u_entries(L).reshape(rows, -1) @ total.reshape(-1, n)
+    return projected * poly.prefactor.to_complex()
 
 
 def rho_float(l: int) -> float:

@@ -118,19 +118,6 @@ from operator import itemgetter
 
 from .coeff import ATOM_ONE, CoeffAtom, atom_mul, double_factorial, factorial
 
-@dataclass(frozen=True)
-class VectorSymbol:
-    """A named unit vector."""
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def _sym_name(v) -> str:
-    return v.name if isinstance(v, VectorSymbol) else str(v)
-
-
 # ---------------------------------------------------------------------------
 # Canonical term / poly
 # ---------------------------------------------------------------------------
@@ -340,10 +327,9 @@ def _relabel(struct: tuple, m, extra=()) -> tuple | None:
 # Elementary poly constructors and arithmetic
 # ---------------------------------------------------------------------------
 
-def vector_power(v, l: int) -> TensorPoly:
-    """The plain outer product v x v x ... x v (rank l)."""
-    s = _sym_name(v)
-    vecs = tuple((s, i) for i in range(l))
+def vector_power(v: str, l: int) -> TensorPoly:
+    """The plain outer product v x v x ... x v (rank l) of the symbol v."""
+    vecs = tuple((v, i) for i in range(l))
     return TensorPoly(l, ATOM_ONE, 1, (((vecs, (), (), ()), (((), 1),)),))
 
 
@@ -805,14 +791,14 @@ def _harmonic_cached(name: str, l: int) -> TensorPoly:
     return _from_numerators(l, factorial(l), acc)
 
 
-def harmonic_tensor(v, l: int) -> TensorPoly:
-    """Rank-l symmetric traceless tensor of a unit vector.
+def harmonic_tensor(v: str, l: int) -> TensorPoly:
+    """Rank-l symmetric traceless tensor of the unit vector named v.
 
     Leading coefficient (2l-1)!!/l!; full contraction with u x ... x u yields
     the Legendre polynomial P_l(v.u)."""
     if l < 0:
         raise ValueError("negative rank")
-    return _harmonic_cached(_sym_name(v), l)
+    return _harmonic_cached(v, l)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -62,6 +62,31 @@ class TestYlm:
                 total = sum(abs(ylm(l, m, v)) ** 2 for m in range(-l, l + 1))
                 assert total == pytest.approx((2 * l + 1) / (4 * math.pi),
                                               abs=1e-12)
+
+
+class TestUnitVectorInput:
+    """ylm and eval_expr hold on the unit sphere only, so any other vector is
+    refused rather than given a value: Y[1]_0 at (0, 0, 2) would read twice
+    its value at (0, 0, 1), and Y[2]_0 at the origin would read 0.315."""
+
+    BAD = [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0), (float("nan"), 0.0, 1.0),
+           (float("inf"), 0.0, 0.0), (0.0, 0.0, 1.0 + 2e-9)]
+
+    @pytest.mark.parametrize("v", BAD)
+    def test_ylm_rejects(self, v):
+        with pytest.raises(ValueError, match="unit vector"):
+            ylm(1, 0, v)
+
+    @pytest.mark.parametrize("v", BAD)
+    def test_eval_expr_rejects(self, v):
+        expr = Couple(Harmonic(2, "a"), Harmonic(2, "b"), 0)
+        with pytest.raises(ValueError, match="unit vector"):
+            oracle.eval_expr(expr, {"a": Z_HAT, "b": v})
+
+    def test_within_tolerance_accepted(self):
+        near = (0.0, 0.0, 1.0 + 5e-10)
+        assert ylm(2, 0, near) == pytest.approx(ylm(2, 0, Z_HAT), rel=1e-8)
+        assert ylm(2, 0, (0.0, 0.0, -1.0)) == pytest.approx(ylm(2, 0, Z_HAT))
 
 
 class TestLegendre:
@@ -177,6 +202,14 @@ class TestUMatrixBridge:
             for i in range(1, L + 1):
                 for j in range(i + 1, L + 1):
                     assert np.abs(np.trace(U, axis1=i, axis2=j)).max() < 1e-14
+
+    @pytest.mark.parametrize("L", range(6))
+    def test_rows_symmetric_under_every_slot_permutation(self, L):
+        """What lets eval_poly_batch project the symmetric part of each term
+        only, as a polynomial."""
+        U = u_matrix(L)
+        for perm in permutations(range(1, L + 1)):
+            assert np.abs(U - U.transpose((0,) + perm)).max() < 1e-15
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 8])
     def test_tensor_to_spherical_components(self, l):
@@ -539,8 +572,7 @@ def test_high_degree_verify():
 
 def test_verify_memory_is_bounded_in_samples():
     """Y[9] at 2000 samples: a block of all 3^9 index tuples at every sample
-    would take 300 MiB; the chunked projection keeps the traced heap below
-    128 MiB."""
+    would take 300 MiB; the traced heap stays below 128 MiB."""
     tracemalloc.start()
     try:
         rep = verify("Y[9](a)", n_samples=2000)
@@ -549,6 +581,36 @@ def test_verify_memory_is_bounded_in_samples():
         tracemalloc.stop()
     assert rep.passed, rep.to_json()
     assert peak < 128 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.parametrize("text", [
+    "[Y[2](a) x Y[2](b)][3]",
+    "[[Y[2](a) x Y[1](b)][2] x Y[2](c)][3]",
+    "[Y[1](a) x Y[2](b)][3]",
+])
+def test_verify_builds_no_index_tuples(text, monkeypatch):
+    """verify holds rank-L quantities as (L+1)^2 polynomial coefficients: it
+    never expands u_matrix, the (2L+1) x 3^L map over index tuples."""
+
+    def no_expansion(L):
+        raise AssertionError(f"verify expanded u_matrix({L})")
+
+    monkeypatch.setattr(oracle, "u_matrix", no_expansion)
+    rep = verify(text, n_samples=40)
+    assert rep.passed, rep.to_json()
+
+
+def test_verify_memory_at_rank_10():
+    """Y[10] at 2000 samples, reduction included: the traced heap stays
+    below 32 MiB, where one 3^10-row block of 2000 samples alone is 900 MiB."""
+    tracemalloc.start()
+    try:
+        rep = verify("Y[10](a)", n_samples=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed, rep.to_json()
+    assert peak < 32 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 @pytest.mark.parametrize("text", [
