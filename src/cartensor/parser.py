@@ -11,7 +11,8 @@ Parse errors (syntax) and semantic errors (triangle-rule violations, repeated
 vector symbols) carry a source span; format_error renders the conventional
 caret diagnostic.  The result renderers produce plain text, LaTeX, and the
 versioned JSON schema {"schema": 1, "rank": int, "terms": [...]}, each in one
-pass over the terms that builds every distinct fragment once per call;
+pass over the terms that formats every distinct factor (a dot, vector, delta
+or epsilon) once per call, a term's free part being a join of those factors;
 result_to_obj is render_json's output parsed back.
 """
 
@@ -198,8 +199,8 @@ def render_expr_latex(expr: CouplingExpr) -> str:
 
 # ---------------------------------------------------------------------------
 # Result renderers: one display model, one token style per format.  Each
-# renderer makes one pass over poly.key_runs() and formats every distinct part
-# of a term once per call; result_to_obj parses render_json's output.
+# renderer makes one pass over poly.key_runs() and formats every distinct
+# factor of a term once per call; result_to_obj parses render_json's output.
 # ---------------------------------------------------------------------------
 
 _SLOT_NAMES = "ijklmnpqrstu"
@@ -311,15 +312,32 @@ def _scalar_part(key: tuple, style: _Style, dot: _Memo) -> tuple[int, str]:
     return sum(e for _, _, e in dots) + 3 * len(boxes), style.factors.join(parts)
 
 
-def _free_part(key: tuple, style: _Style) -> tuple[int, str]:
-    """The degree and string of a term's (vecs, deltas, epses)."""
+def _vec_factor(v: tuple, style: _Style) -> str:
+    return style.vec.format(v[0], _slot(v[1]))
+
+
+def _delta_factor(d: tuple, style: _Style) -> str:
+    return style.delta.format(_slot(d[0]), _slot(d[1]))
+
+
+def _eps_factor(e: tuple, style: _Style) -> str:
+    return style.eps.format(",".join(_slot(x) if kind == 'f' else style.symbol.format(x)
+                                     for kind, x in e))
+
+
+def _free_factors(key: tuple, frag: tuple) -> list:
+    """The factors of a term's free part, key = (vecs, deltas, epses), each
+    read from its memo in frag = (vector, delta, epsilon memos)."""
     vecs, deltas, epses = key
-    parts = [style.vec.format(s, _slot(i)) for s, i in vecs]
-    parts += [style.delta.format(_slot(i), _slot(j)) for i, j in deltas]
-    parts += [style.eps.format(",".join(_slot(x) if kind == 'f' else style.symbol.format(x)
-                                        for kind, x in e))
-              for e in epses]
-    return len(vecs) + sum(kind == 's' for e in epses for kind, _ in e), style.factors.join(parts)
+    vec, delta, eps = frag
+    return [vec[v] for v in vecs] + [delta[d] for d in deltas] + [eps[e] for e in epses]
+
+
+def _free_part(key: tuple, style: _Style, frag: tuple) -> tuple[int, str]:
+    """The degree and string of a term's (vecs, deltas, epses)."""
+    vecs, _, epses = key
+    return (len(vecs) + sum(kind == 's' for e in epses for kind, _ in e),
+            style.factors.join(_free_factors(key, frag)))
 
 
 def _render(poly, style: _Style) -> str:
@@ -330,9 +348,11 @@ def _render(poly, style: _Style) -> str:
         return "0"
     dot = _Memo(lambda d: _dot_factor(d, style))
     scalars = _Memo(lambda key: _scalar_part(key, style, dot))
+    frag = (_Memo(lambda v: _vec_factor(v, style)), _Memo(lambda d: _delta_factor(d, style)),
+            _Memo(lambda e: _eps_factor(e, style)))
     rows = []
     for free, run in poly.key_runs():
-        d2, s2 = _free_part(free, style)
+        d2, s2 = _free_part(free, style, frag)
         for dots, boxes, num in run:
             d1, s1 = scalars[dots, boxes]
             rows.append((-d1 - d2, num, f"{s1}{style.factors}{s2}" if s1 and s2 else s1 or s2))
@@ -365,10 +385,16 @@ def render_latex(result: ReductionResult) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
-def _free_json(key: tuple) -> str:
-    vecs, deltas, epses = key
-    return json.dumps([["vec", i, s] for s, i in vecs] + [["delta", i, j] for i, j in deltas]
-                      + [["eps", *[x for _, x in e]] for e in epses])
+def _vec_json(v: tuple) -> str:
+    return json.dumps(["vec", v[1], v[0]])
+
+
+def _delta_json(d: tuple) -> str:
+    return f'["delta", {d[0]}, {d[1]}]'
+
+
+def _eps_json(e: tuple) -> str:
+    return json.dumps(["eps", *[x for _, x in e]])
 
 
 def render_json(result: ReductionResult) -> str:
@@ -383,9 +409,10 @@ def render_json(result: ReductionResult) -> str:
     # dots and boxes are tuples of triples, written from each triple's JSON
     triple = _Memo(json.dumps)
     triples = _Memo(lambda ts: f"[{', '.join([triple[x] for x in ts])}]")
+    frag = (_Memo(_vec_json), _Memo(_delta_json), _Memo(_eps_json))
     terms = []
     for free, run in poly.key_runs():
-        slots = _free_json(free)
+        slots = f"[{', '.join(_free_factors(free, frag))}]"
         for dots, boxes, num in run:
             g = gcd(num, den)
             terms.append(f'{{"coeff": [{{"num": {num // g}, "den": {den // g}, {tail}], '

@@ -88,9 +88,11 @@ MAX_LEAF_TERMS = 10_000
 def leaf_too_large(l: int) -> bool:
     """Whether harmonic_tensor(v, l) has more than MAX_LEAF_TERMS terms.
 
-    Its terms are the involutions of l slots: T(l) = T(l-1) + (l-1) T(l-2),
-    T(0) = T(1) = 1.  The count stops as soon as it passes the bound, so a
-    huge l costs a dozen steps."""
+    harmonic_tensor builds one term per partial matching (involution) of the
+    l slots, so it has T(l) terms: T(l) = T(l-1) + (l-1) T(l-2), T(0) = T(1)
+    = 1, as the last slot is unmatched or paired with one of the other l-1.
+    The count stops as soon as it passes the bound, so a huge l costs a dozen
+    steps."""
     prev, cur = 1, 1
     for n in range(2, l + 1):
         prev, cur = cur, cur + (n - 1) * prev

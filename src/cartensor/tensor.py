@@ -67,11 +67,13 @@ writes a raw result (denominator: the product of its sides'), the odd-parity
 epsilon hook contracts that raw result, and the embedding relabels each
 structure, once per distribution, straight into the node's one accumulator
 with the weight of its r (denominator: the lcm over r).  The node is then
-frozen once, into the normal form below.  A harmonic leaf is built the same
-way.  The public contract_slots, contract, traceless_contract,
-symmetrized_embed and poly_permute_slots each thaw their arguments and freeze
-their result around the same raw core.  Bond-free relabellings (embedding,
-slot permutation) go straight to the canonical form.
+frozen once, into the normal form below.  A harmonic leaf needs neither
+contraction nor embedding: its terms are the partial matchings of its slots,
+each already a canonical structure, and they are frozen once.  The public
+contract_slots, contract, traceless_contract, symmetrized_embed and
+poly_permute_slots each thaw their arguments and freeze their result around
+the same raw core.  Bond-free relabellings (embedding, slot permutation) go
+straight to the canonical form.
 
 A TensorPoly is that form frozen, (rank, prefactor, den, groups), with groups
 the strictly ascending tuple of (struct, ((dots, numerator), ...)).  Its normal
@@ -104,7 +106,7 @@ one helper before the product loop: a term whose delta joins two contracted
 slots meets a trace of the other factor and so sums to exactly zero over it.
 The rule holds for one side at a time only, since it relies on the other side
 keeping all its terms; contract and contract_slots never prune, as they also
-serve non-STF factors such as vector_power.
+serve non-STF factors.
 """
 
 from __future__ import annotations
@@ -326,12 +328,6 @@ def _relabel(struct: tuple, m, extra=()) -> tuple | None:
 # ---------------------------------------------------------------------------
 # Elementary poly constructors and arithmetic
 # ---------------------------------------------------------------------------
-
-def vector_power(v: str, l: int) -> TensorPoly:
-    """The plain outer product v x v x ... x v (rank l) of the symbol v."""
-    vecs = tuple((v, i) for i in range(l))
-    return TensorPoly(l, ATOM_ONE, 1, (((vecs, (), (), ()), (((), 1),)),))
-
 
 def poly_add(p1: TensorPoly, p2: TensorPoly) -> TensorPoly:
     if p1.rank != p2.rank:
@@ -780,19 +776,36 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
 # Harmonic (symmetric traceless) tensors
 # ---------------------------------------------------------------------------
 
+def _matchings(slots: tuple) -> list:
+    """[(unmatched, pairs)] for every partial matching of slots, an ascending
+    tuple: the unmatched slots ascending, the pairs (i, j), i < j, ascending."""
+    if len(slots) < 2:
+        return [(slots, ())]
+    first, rest = slots[0], slots[1:]
+    out = [((first,) + free, pairs) for free, pairs in _matchings(rest)]
+    for k, partner in enumerate(rest):
+        pair = ((first, partner),)
+        out += [(free, pair + pairs) for free, pairs in _matchings(rest[:k] + rest[k + 1:])]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _harmonic_cached(name: str, l: int) -> TensorPoly:
-    """The sum over r of (-1)^r (2l-2r-1)!!/l! times v^(l-2r) symmetrized with
-    r deltas, embedded into one accumulator over l! and frozen once."""
-    acc: dict = {}
-    for r in range(l // 2 + 1):
-        _embed_into(acc, _thaw(vector_power(name, l - 2 * r)), [l - 2 * r], r, l,
-                    (-1) ** r * double_factorial(2 * l - 2 * r - 1))
+    """One term per partial matching of the l slots: r pairs are deltas, the
+    unmatched slots carry the vector, and the numerator (-1)^r (2l-2r-1)!! is
+    over l!.  Each term is its own structure, already canonical; the sum is
+    frozen once."""
+    weight = [(-1) ** r * double_factorial(2 * l - 2 * r - 1) for r in range(l // 2 + 1)]
+    acc = {(tuple([(name, i) for i in free]), pairs, (), ()): {(): weight[len(pairs)]}
+           for free, pairs in _matchings(tuple(range(l)))}
     return _from_numerators(l, factorial(l), acc)
 
 
 def harmonic_tensor(v: str, l: int) -> TensorPoly:
-    """Rank-l symmetric traceless tensor of the unit vector named v.
+    """Rank-l symmetric traceless tensor of the unit vector named v:
+    Y^[l](v) = sum over r of (-1)^r (2l-2r-1)!!/l! {v^(l-2r) delta^r}, the
+    braces summing over the distinct ways to place r deltas on the l slots,
+    one term per partial matching of the slots.
 
     Leading coefficient (2l-1)!!/l!; full contraction with u x ... x u yields
     the Legendre polynomial P_l(v.u)."""

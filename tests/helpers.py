@@ -1,5 +1,6 @@
 """Constructions that only the tests use: a TensorPoly from its terms, the
-atom that atom_to_json wrote,
+atom that atom_to_json wrote, a vector's outer power, the harmonic tensor
+built by symmetrized embedding,
 polynomial constants, negation, subtraction and full contraction, a cross
 product, the closed-form pair-coupling constant, the coupling sum built step
 by step from public operations, the odd-coupling normalization found by
@@ -20,7 +21,7 @@ from cartensor.coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, atom_to_json,
                             double_factorial, factorial)
 from cartensor.tensor import (TensorPoly, TensorTerm, contract, contract_slots,
                               harmonic_tensor, poly_add, poly_scale,
-                              symmetrized_embed, traceless_contract, vector_power)
+                              symmetrized_embed, traceless_contract)
 from cartensor.oracle import DEFAULT_SEED, eval_expr_components, sample_unit_vectors
 from cartensor.parser import _atom, _slot
 from cartensor.reduce import Couple, Harmonic
@@ -42,6 +43,23 @@ def poly_of(rank: int, terms, prefactor: CoeffAtom = ATOM_ONE) -> TensorPoly:
             (t.dots, t.coeff.numerator * (den // t.coeff.denominator)))
     return TensorPoly(rank, prefactor, den,
                       tuple(sorted((s, tuple(sorted(m))) for s, m in groups.items())))
+
+
+def vector_power(v: str, l: int) -> TensorPoly:
+    """The plain outer product v x v x ... x v (rank l) of the symbol v."""
+    vecs = tuple((v, i) for i in range(l))
+    return TensorPoly(l, ATOM_ONE, 1, (((vecs, (), (), ()), (((), 1),)),))
+
+
+def reference_harmonic(v: str, l: int) -> TensorPoly:
+    """harmonic_tensor(v, l) built from public operations: the sum over r of
+    (-1)^r (2l-2r-1)!!/l! times v^(l-2r) symmetrized with r deltas."""
+    T = TensorPoly(l)
+    for r in range(l // 2 + 1):
+        core = symmetrized_embed(vector_power(v, l - 2 * r), [l - 2 * r], r, l)
+        T = poly_add(T, poly_scale(core, Fraction((-1) ** r * double_factorial(2 * l - 2 * r - 1),
+                                                  factorial(l))))
+    return T
 
 
 def scalar_poly(coeff=ATOM_ONE) -> TensorPoly:

@@ -58,11 +58,10 @@ from cartensor.tensor import (
     odd_norm,
     poly_permute_slots,
     symmetrized_embed,
-    vector_power,
 )
 
 from helpers import (UnitVector, cg_float, couple_constant, full_contract, legendre_coeffs,
-                     poly_of, poly_sub, reduce_pair_identities)
+                     poly_of, poly_sub, reduce_pair_identities, vector_power)
 
 CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
                   for e in _load_corpus(_default_corpus_path())]

@@ -392,3 +392,23 @@ def test_json_dumps_runs_once_per_distinct_fragment(monkeypatch):
     assert len(calls) <= len(triples) + len({(t.vecs, t.deltas, t.epses) for t in terms}) + 1
     assert not any(isinstance(obj, dict) and "terms" in obj for obj in calls)
     assert rendered == reference_render_json(result)
+
+
+@pytest.mark.parametrize("render, makers", [
+    (render_text, ("_vec_factor", "_delta_factor", "_eps_factor")),
+    (render_latex, ("_vec_factor", "_delta_factor", "_eps_factor")),
+    (render_json, ("_vec_json", "_delta_json", "_eps_json")),
+])
+def test_each_free_factor_is_formatted_once(monkeypatch, render, makers):
+    result = _reduce("Y[8](a)")
+    runs = result.poly.key_runs()
+    assert len(runs) == len(result.poly.terms) == 764
+    want = render(result)
+    made = []
+    for name in makers:
+        make = getattr(parser, name)
+        monkeypatch.setattr(parser, name,
+                            lambda f, *style, make=make: made.append(f) or make(f, *style))
+    assert render(result) == want
+    # one fragment per distinct vector factor (a, slot) and delta pair: 8 + 28
+    assert len(made) == len(set(made)) <= 8 + 28

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul, square_free_split
+from cartensor.reduce import MAX_LEAF_TERMS, leaf_too_large
 from cartensor.tensor import (
     TensorPoly,
     TensorTerm,
@@ -31,11 +32,10 @@ from cartensor.tensor import (
     poly_permute_slots,
     poly_scale,
     symmetrized_embed,
-    vector_power,
 )
 
 from helpers import (couple_constant, cross_vector, full_contract, odd_norm_probe, poly_neg,
-                     poly_of, poly_sub, scalar_poly)
+                     poly_of, poly_sub, reference_harmonic, scalar_poly, vector_power)
 
 DELTA = poly_of(2, [TensorTerm(Fraction(1), deltas=((0, 1),))])
 
@@ -254,6 +254,32 @@ class TestHarmonicTensor:
             expected = (math.factorial(l)
                         // (math.factorial(l - 2 * r) * 2 ** r * math.factorial(r)))
             assert by_r.get(r, 0) == expected
+
+    @pytest.mark.parametrize("l", range(11))
+    @pytest.mark.parametrize("v", ['a', 'w_2'])
+    def test_equals_the_embedding_reference(self, v, l):
+        assert harmonic_tensor(v, l) == reference_harmonic(v, l)
+
+    def test_term_count_is_the_involution_count(self):
+        # T(l) = T(l-1) + (l-1) T(l-2), the count reduce.leaf_too_large bounds
+        counts = [1, 1]
+        for l in range(2, 12):
+            counts.append(counts[-1] + (l - 1) * counts[-2])
+        assert counts[10] == 9496
+        for l in range(11):
+            for v in ('a', 'w_2'):
+                assert len(harmonic_tensor(v, l).terms) == counts[l]
+        for l in range(12):
+            assert leaf_too_large(l) == (counts[l] > MAX_LEAF_TERMS)
+
+    def test_uncached_build_relabels_nothing(self, monkeypatch):
+        calls = []
+        relabel = tensor._relabel
+        monkeypatch.setattr(tensor, "_relabel", lambda *args: calls.append(args) or relabel(*args))
+        tensor._harmonic_cached.cache_clear()
+        for l in range(11):
+            harmonic_tensor('a', l)
+        assert calls == []
 
 
 class TestSymmetrizedEmbed:
