@@ -17,9 +17,11 @@ equal canonical atoms.  atom() and atom_mul() return that form.
 The engine needs no sums of atoms: a TensorPoly is one atom times a rational
 polynomial (see tensor.py).  A CoeffSum is the exact sum of atoms of different
 shapes, for callers that add such values (the Clebsch-Gordan orthogonality
-test).  It holds canonical atoms sorted by the key (radicand, pi_half, i_pow),
-one atom per key, so equal values have equal sums.  Every sum is built by
-CoeffSum.from_atoms, so atom_canonical stays the only normal-form path.
+test).  No package code builds one; the class stays only because the
+benchmark's tracer wraps CoeffSum.from_atoms by name.  It holds canonical atoms
+sorted by the key (radicand, pi_half, i_pow), one atom per key, so equal values
+have equal sums.  Every sum is built by CoeffSum.from_atoms, so atom_canonical
+stays the only normal-form path.
 """
 
 from __future__ import annotations
@@ -108,17 +110,6 @@ class CoeffAtom:
     def to_complex(self) -> complex:
         v = float(self.rat) * math.sqrt(float(self.radicand)) * math.pi ** (self.pi_half / 2)
         return v * (1j ** (self.i_pow % 4))
-
-    def to_float(self):
-        """Float value; returns a complex number if the atom is imaginary."""
-        z = self.to_complex()
-        if z.imag == 0.0:
-            return z.real
-        return z
-
-    def __str__(self) -> str:  # debugging aid only; display lives in parser.py
-        return (f"CoeffAtom({self.rat}, sqrt({self.radicand}), "
-                f"pi^({self.pi_half}/2), i^{self.i_pow})")
 
 
 @lru_cache(maxsize=None)

@@ -317,6 +317,9 @@ def eval_poly_batch(poly: TensorPoly, vecs: dict, n: int) -> np.ndarray:
 
 
 def rho_float(l: int) -> float:
+    """The rescale constant between harmonic_tensor and the true harmonics,
+    Y^[l]_m(v) = rho(l) * sum U^[l]_{m, i...} harmonic_tensor(v, l)_{i...},
+    rho(l) = sqrt((2l+1) l!/(2l-1)!!) / (2 sqrt(pi))."""
     return 0.5 * math.sqrt((2 * l + 1) * factorial(l)
                            / double_factorial(2 * l - 1)) / math.sqrt(math.pi)
 

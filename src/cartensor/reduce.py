@@ -16,7 +16,7 @@ exact Cartesian tensor polynomials:
 
 For any root of rank L > 0 (and for a bare harmonic root), the result is the
 rescaled Cartesian tensor: the true spherical components are recovered by the
-rho(L) * U^[L] bridge implemented in the oracle module.
+rho(L) * U^[L] bridge implemented in the oracle module (see oracle.rho_float).
 
 Every reduction factor is exact; results are exactly real (the i's of the
 contrastandard phases cancel, living only in the bridge).
@@ -194,14 +194,6 @@ def s_factor(L: int) -> CoeffAtom:
     """Scalar factor for the root coupling of two rank-L tensors to zero."""
     return atom(Fraction(factorial(L), 4 * double_factorial(2 * L - 1)),
                 Fraction(2 * L + 1), -2)
-
-
-def rho(l: int) -> CoeffAtom:
-    """Rescale constant between harmonic_tensor and the true harmonics:
-    Y^[l]_m(v) = rho(l) * sum U^[l]_{m, i...} harmonic_tensor(v, l)_{i...}."""
-    return atom(Fraction(1, 2),
-                Fraction((2 * l + 1) * factorial(l), double_factorial(2 * l - 1)),
-                -1)
 
 
 # ---------------------------------------------------------------------------

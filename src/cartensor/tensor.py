@@ -70,10 +70,11 @@ with the weight of its r (denominator: the lcm over r).  The node is then
 frozen once, into the normal form below.  A harmonic leaf needs neither
 contraction nor embedding: its terms are the partial matchings of its slots,
 each already a canonical structure, and they are frozen once.  The public
-contract_slots, contract, traceless_contract, symmetrized_embed and
-poly_permute_slots each thaw their arguments and freeze their result around
-the same raw core.  Bond-free relabellings (embedding, slot permutation) go
-straight to the canonical form.
+traceless_contract (a rank-0 root), contract_slots and symmetrized_embed each
+thaw their arguments and freeze their result around the same raw core; the
+last two have no caller in the package and stay because the benchmark's tracer
+wraps them by name.  Embedding relabels without bonds, so it goes straight to
+the canonical form.
 
 A TensorPoly is that form frozen, (rank, prefactor, den, groups), with groups
 the strictly ascending tuple of (struct, ((dots, numerator), ...)).  Its normal
@@ -105,8 +106,8 @@ of a coupling node), traceless_contract and each coupling node prune through
 one helper before the product loop: a term whose delta joins two contracted
 slots meets a trace of the other factor and so sums to exactly zero over it.
 The rule holds for one side at a time only, since it relies on the other side
-keeping all its terms; contract and contract_slots never prune, as they also
-serve non-STF factors.
+keeping all its terms; contract_slots never prunes, as it also serves non-STF
+factors.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .coeff import ATOM_ONE, CoeffAtom, atom_mul, double_factorial, factorial
+from .wigner import triangle_ok
 
 # ---------------------------------------------------------------------------
 # Canonical term / poly
@@ -172,11 +174,6 @@ class TensorPoly:
         den = self.den
         return tuple([TensorTerm(Fraction(n, den), *free, dots, boxes)
                       for free, run in self.key_runs() for dots, boxes, n in run])
-
-    def term_atom(self, t: TensorTerm) -> CoeffAtom:
-        """The exact coefficient of term t, prefactor * t.coeff, as a canonical atom."""
-        p = self.prefactor
-        return CoeffAtom(t.coeff, p.radicand, p.pi_half, p.i_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +346,6 @@ def poly_scale(p: TensorPoly, factor) -> TensorPoly:
     else:
         factor = replace(p.prefactor, rat=Fraction(factor))
     return _from_numerators(*_thaw(p), factor)
-
-
-def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
-    """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping,
-    and a permutation of range(p.rank)."""
-    rank = p.rank
-    try:
-        m = [perm[i] for i in range(rank)]
-    except (IndexError, KeyError):
-        m = None
-    if m is None or len(perm) != rank or sorted(m) != list(range(rank)):
-        raise ValueError(f"{perm!r} is not a permutation of the {rank} slots")
-    acc: dict = {}
-    for struct, monos in p.groups:
-        moved = _relabel(struct, m)
-        if moved is not None:
-            _merge(acc, moved[0], monos, moved[1])
-    return _from_numerators(rank, p.den, acc, p.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +623,6 @@ def _bonds(rank1: int, rank2: int, k: int) -> list:
     return [(rank1 - k + t, t) for t in range(k)]
 
 
-def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
-    """Contract the last k slots of p1 with the first k slots of p2 (k=0 is the
-    outer product)."""
-    return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k))
-
-
 def _term_count(raw: dict) -> int:
     return sum(map(len, raw.values()))
 
@@ -680,8 +653,9 @@ def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
 
 def traceless_contract(A: TensorPoly, B: TensorPoly, k: int,
                        scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """contract(A, B, k) times the atom scale, for symmetric traceless A and B
-    (a precondition), minus the products that sum to zero (_traceless_raw)."""
+    """The last k slots of A contracted with the first k of B, times the atom
+    scale, for symmetric traceless A and B (a precondition), minus the products
+    that sum to zero (_traceless_raw)."""
     return _from_numerators(*_traceless_raw(_thaw(A), _thaw(B), k),
                             _product_factor(A, B, scale))
 
@@ -819,7 +793,7 @@ def harmonic_tensor(v: str, l: int) -> TensorPoly:
 # ---------------------------------------------------------------------------
 
 def _check_triple(l1: int, l2: int, l3: int, want_parity: int) -> None:
-    if not (abs(l1 - l2) <= l3 <= l1 + l2):
+    if not triangle_ok(l1, l2, l3):
         raise ValueError(f"triangle rule violated for ranks ({l1},{l2})->{l3}")
     if (l1 + l2 + l3) % 2 != want_parity:
         kind = "even" if want_parity == 0 else "odd"

@@ -1,9 +1,10 @@
-"""Exact Wigner 3j symbols and Clebsch-Gordan coefficients for integer angular momenta.
+"""Exact Wigner 3j symbols for integer angular momenta, and the triangle rule.
 
 Values are returned as CoeffAtom instances (rational * sqrt(rational)), computed by
 the Racah factorial sum, so downstream algebra stays exact.  Results are cached;
-both entry points are pure functions of their integer arguments, so the caches are
-safe under concurrent readers.
+three_j is a pure function of its integer arguments, so the cache is safe under
+concurrent readers.  The exact Clebsch-Gordan coefficient built on it is a test
+reference (tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .coeff import ATOM_ZERO, CoeffAtom, atom, factorial, atom_mul
+from .coeff import ATOM_ZERO, CoeffAtom, atom, factorial
 
 
 def triangle_ok(l1: int, l2: int, l3: int) -> bool:
@@ -55,16 +56,4 @@ def three_j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> CoeffAtom:
     )
     sign = -1 if (l1 - l2 - m3) % 2 else 1
     return atom(sign * total, delta * weights)
-
-
-@lru_cache(maxsize=None)
-def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> CoeffAtom:
-    """<l1 m1 l2 m2 | l3 m3>, exact."""
-    if m1 + m2 != m3:
-        return ATOM_ZERO
-    tj = three_j(l1, l2, l3, m1, m2, -m3)
-    if tj.rat == 0:
-        return ATOM_ZERO
-    sign = -1 if (l1 - l2 + m3) % 2 else 1
-    return atom_mul(atom(sign), atom_mul(atom(1, 2 * l3 + 1), tj))
 

@@ -1,6 +1,16 @@
-"""Constructions that only the tests use: a TensorPoly from its terms, the
-atom that atom_to_json wrote, a vector's outer power, the harmonic tensor
-built by symmetrized embedding,
+"""Constructions that only the tests use.
+
+The package keeps only what reduce, verify, the CLI and the benchmark call;
+the exact API that only the tests call lives here:
+  * term_atom(poly, t), a term's exact coefficient, and to_float(a);
+  * contract(p1, p2, k) and poly_permute_slots(p, perm), thaw/freeze
+    wrappers over the engine's raw core;
+  * clebsch_gordan, the exact Clebsch-Gordan reference built on the Racah
+    3j sum, and rho(l), the exact bridge constant that oracle.rho_float
+    computes in floats.
+
+Besides these: a TensorPoly from its terms, the atom that atom_to_json wrote,
+a vector's outer power, the harmonic tensor built by symmetrized embedding,
 polynomial constants, negation, subtraction and full contraction, a cross
 product, the closed-form pair-coupling constant, the coupling sum built step
 by step from public operations, the odd-coupling normalization found by
@@ -17,15 +27,73 @@ from math import gcd, lcm
 
 import numpy as np
 
-from cartensor.coeff import (ATOM_ONE, CoeffAtom, atom, atom_mul, atom_to_json,
-                            double_factorial, factorial)
-from cartensor.tensor import (TensorPoly, TensorTerm, contract, contract_slots,
-                              harmonic_tensor, poly_add, poly_scale,
-                              symmetrized_embed, traceless_contract)
+from cartensor.coeff import (ATOM_ONE, ATOM_ZERO, CoeffAtom, atom, atom_mul,
+                            atom_to_json, double_factorial, factorial)
+from cartensor.tensor import (TensorPoly, TensorTerm, _bonds, _from_numerators, _merge,
+                              _relabel, contract_slots, harmonic_tensor, poly_add,
+                              poly_scale, symmetrized_embed, traceless_contract)
 from cartensor.oracle import DEFAULT_SEED, eval_expr_components, sample_unit_vectors
 from cartensor.parser import _atom, _slot
 from cartensor.reduce import Couple, Harmonic
-from cartensor.wigner import clebsch_gordan
+from cartensor.wigner import three_j
+
+
+def term_atom(poly: TensorPoly, t: TensorTerm) -> CoeffAtom:
+    """The exact coefficient of poly's term t, prefactor * t.coeff, as a
+    canonical atom."""
+    p = poly.prefactor
+    return CoeffAtom(t.coeff, p.radicand, p.pi_half, p.i_pow)
+
+
+def to_float(a: CoeffAtom):
+    """a's float value; a complex number if a is imaginary."""
+    z = a.to_complex()
+    if z.imag == 0.0:
+        return z.real
+    return z
+
+
+def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
+    """Contract the last k slots of p1 with the first k slots of p2 (k=0 is the
+    outer product)."""
+    return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k))
+
+
+def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
+    """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping,
+    and a permutation of range(p.rank)."""
+    rank = p.rank
+    try:
+        m = [perm[i] for i in range(rank)]
+    except (IndexError, KeyError):
+        m = None
+    if m is None or len(perm) != rank or sorted(m) != list(range(rank)):
+        raise ValueError(f"{perm!r} is not a permutation of the {rank} slots")
+    acc: dict = {}
+    for struct, monos in p.groups:
+        moved = _relabel(struct, m)
+        if moved is not None:
+            _merge(acc, moved[0], monos, moved[1])
+    return _from_numerators(rank, p.den, acc, p.prefactor)
+
+
+@lru_cache(maxsize=None)
+def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> CoeffAtom:
+    """<l1 m1 l2 m2 | l3 m3>, exact."""
+    if m1 + m2 != m3:
+        return ATOM_ZERO
+    tj = three_j(l1, l2, l3, m1, m2, -m3)
+    if tj.rat == 0:
+        return ATOM_ZERO
+    sign = -1 if (l1 - l2 + m3) % 2 else 1
+    return atom_mul(atom(sign), atom_mul(atom(1, 2 * l3 + 1), tj))
+
+
+def rho(l: int) -> CoeffAtom:
+    """oracle.rho_float(l), exact: sqrt((2l+1) l!/(2l-1)!!) / (2 sqrt(pi))."""
+    return atom(Fraction(1, 2),
+                Fraction((2 * l + 1) * factorial(l), double_factorial(2 * l - 1)),
+                -1)
 
 
 def poly_of(rank: int, terms, prefactor: CoeffAtom = ATOM_ONE) -> TensorPoly:
@@ -161,7 +229,7 @@ def odd_norm_probe(l1: int, l2: int, l3: int) -> Fraction:
 @lru_cache(maxsize=None)
 def cg_float(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     """Float Clebsch-Gordan value."""
-    return float(clebsch_gordan(l1, m1, l2, m2, l3, m3).to_float())
+    return float(to_float(clebsch_gordan(l1, m1, l2, m2, l3, m3)))
 
 
 @dataclass(frozen=True)

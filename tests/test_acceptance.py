@@ -20,11 +20,13 @@ Five groups:
     with the oracle.
 """
 
+import json
 import math
 import random
 import string
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,21 +52,28 @@ from cartensor.reduce import (
 from cartensor.tensor import (
     TensorPoly,
     TensorTerm,
+    _from_numerators,
+    _thaw,
     contract_slots,
     couple_even,
     couple_odd,
     embed_count,
     harmonic_tensor,
     odd_norm,
-    poly_permute_slots,
     symmetrized_embed,
 )
 
 from helpers import (UnitVector, cg_float, couple_constant, full_contract, legendre_coeffs,
-                     poly_of, poly_sub, reduce_pair_identities, vector_power)
+                     poly_of, poly_permute_slots, poly_sub, reduce_pair_identities,
+                     term_atom, to_float, vector_power)
 
 CORPUS_ENTRIES = [(e["id"], e["expr"], e["note"])
                   for e in _load_corpus(_default_corpus_path())]
+
+DIGEST_RANK_2_UP = [
+    e["expr"] for e in json.loads((Path(__file__).parent / "data" / "output_digests.json")
+                                  .read_text(encoding="utf-8"))
+    if expr_rank(parse(e["expr"])) >= 2]
 
 # ---------------------------------------------------------------------------
 # Frozen expectations for the 26 corpus entries.
@@ -231,6 +240,14 @@ def fully_symmetric(poly: TensorPoly) -> bool:
     return True
 
 
+def delta_terms_times_7(poly: TensorPoly) -> TensorPoly:
+    """poly with every term that carries a Kronecker delta multiplied by 7."""
+    rank, den, raw = _thaw(poly)
+    return _from_numerators(rank, den, {
+        struct: {dots: 7 * n if struct[1] else n for dots, n in nums.items()}
+        for struct, nums in raw.items()}, poly.prefactor)
+
+
 # ---------------------------------------------------------------------------
 # 1. Corpus fidelity
 # ---------------------------------------------------------------------------
@@ -253,7 +270,7 @@ class TestCorpusFidelity:
             assert t.epses == () and t.boxes == ()
             key = tuple(sorted(t.dots))
             assert key in expected, f"unexpected monomial {key}"
-            assert result.poly.term_atom(t) == scalar_coeff(const, expected[key]), key
+            assert term_atom(result.poly, t) == scalar_coeff(const, expected[key]), key
 
     def test_oracle_all_entries_within_budget(self):
         start = time.time()
@@ -281,7 +298,7 @@ class TestCorpusFidelity:
         assert abs(val.imag) < 1e-14
         k_oracle = val.real / braces_sum
         p, q, rn, rd, h = const
-        k_frozen = atom(Fraction(p, q), Fraction(rn, rd), h).to_float()
+        k_frozen = to_float(atom(Fraction(p, q), Fraction(rn, rd), h))
         assert k_oracle == pytest.approx(k_frozen, abs=1e-12)
 
     def test_repaired_constants_are_flagged_in_corpus_notes(self):
@@ -299,7 +316,7 @@ class TestWorkedExamples:
         """[Y1(c) x Y1(d)]^2 core: (3/4)(c_i d_j + c_j d_i) - (1/2)(c.d) delta."""
         Q = couple_even(harmonic_tensor("c", 1), harmonic_tensor("d", 1), 2)
         assert len(Q.terms) == 3
-        by_shape = {(t.vecs, t.deltas, t.dots): Q.term_atom(t) for t in Q.terms}
+        by_shape = {(t.vecs, t.deltas, t.dots): term_atom(Q, t) for t in Q.terms}
         three_q = atom(Fraction(3, 4))
         minus_half = atom(Fraction(-1, 2))
         assert by_shape[(("c", 0), ("d", 1)), (), ()] == three_q
@@ -311,7 +328,7 @@ class TestWorkedExamples:
         (9/4)(a.c)(a.d) - (3/4)(c.d)."""
         Q = couple_even(harmonic_tensor("c", 1), harmonic_tensor("d", 1), 2)
         got = full_contract(harmonic_tensor("a", 2), Q)
-        coeffs = {tuple(sorted(t.dots)): got.term_atom(t) for t in got.terms}
+        coeffs = {tuple(sorted(t.dots)): term_atom(got, t) for t in got.terms}
         assert coeffs == {
             (("a", "c", 1), ("a", "d", 1)): atom(Fraction(9, 4)),
             (("c", "d", 1),): atom(Fraction(-3, 4)),
@@ -323,7 +340,7 @@ class TestWorkedExamples:
 
     def test_triple_full_reduction(self):
         result = reduce_expr(parse("[Y[2](a) x [Y[1](c) x Y[1](d)][2]][0]"))
-        coeffs = {tuple(sorted(t.dots)): result.poly.term_atom(t)
+        coeffs = {tuple(sorted(t.dots)): term_atom(result.poly, t)
                   for t in result.poly.terms}
         assert coeffs == {
             (("a", "c", 1), ("a", "d", 1)): atom(Fraction(3, 16), 6, -3),
@@ -336,7 +353,7 @@ class TestWorkedExamples:
         R = couple_odd(harmonic_tensor("a", 2), harmonic_tensor("b", 2), 1)
         assert len(R.terms) == 1
         t = R.terms[0]
-        assert R.term_atom(t) == ATOM_ONE
+        assert term_atom(R, t) == ATOM_ONE
         assert t.dots == (("a", "b", 1),)
         assert t.epses == (((("f", 0), ("s", "a"), ("s", "b"))),)
         assert odd_norm(1, 1, 1) == 1
@@ -349,7 +366,7 @@ class TestWorkedExamples:
         assert r_factor(2, 2, 1) == atom(Fraction(1, 4), 30, -1)
         assert len(result.poly.terms) == 1
         t = result.poly.terms[0]
-        assert result.poly.term_atom(t) == atom(Fraction(1, 4), 30, -1)
+        assert term_atom(result.poly, t) == atom(Fraction(1, 4), 30, -1)
         assert t.dots == (("a", "b", 1),)
         assert [lab for lab, _ in result.factor_trace] == ["r[2,2,1]"]
 
@@ -357,7 +374,7 @@ class TestWorkedExamples:
         """Coupling two odd rank-1 pairs: the epsilon pair collapses to dots."""
         result = reduce_expr(
             parse("[[Y[2](a) x Y[2](b)][1] x [Y[2](c) x Y[2](d)][1]][0]"))
-        coeffs = {tuple(sorted(t.dots)): result.poly.term_atom(t)
+        coeffs = {tuple(sorted(t.dots)): term_atom(result.poly, t)
                   for t in result.poly.terms}
         assert coeffs == {
             (("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)):
@@ -384,7 +401,7 @@ class TestWorkedExamples:
         assert len(got.terms) == len(integers)
         for t in got.terms:
             n = integers[tuple(sorted(t.dots))]
-            assert got.term_atom(t) == atom(Fraction(3 * n, 4))
+            assert term_atom(got, t) == atom(Fraction(3 * n, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +476,7 @@ class TestSameArgumentConstant:
                     coupled[m3 + l3] += (cg_float(l1, m1, l2, m2, l3, m3)
                                          * A[m1 + l1] * B[m2 + l2])
         J = l1 + l2 + l3
-        k = couple_constant(l1, l2, l3).to_float()
+        k = to_float(couple_constant(l1, l2, l3))
         k *= (_dfact(J - 2 * l1 - 1) * _dfact(J - 2 * l2 - 1)
               * _dfact(J - 2 * l3 - 1) * math.factorial(J // 2))
         k /= (math.factorial(l1) * math.factorial(l2) * _dfact(2 * l3 - 1))
@@ -518,6 +535,17 @@ class TestStructure:
         assert trace(R, 0, 1).is_zero
         assert fully_symmetric(R)
 
+    @pytest.mark.parametrize("expr_s", DIGEST_RANK_2_UP)
+    def test_digest_couplings_exactly_symmetric_and_traceless(self, expr_s):
+        """Every rank >= 2 reduction of the digest set is exactly traceless on
+        slots (0, 1) and symmetric under each adjacent transposition; with its
+        delta-bearing terms times 7 it is no longer traceless."""
+        p = reduce_expr(parse(expr_s)).poly
+        assert trace(p, 0, 1).is_zero
+        assert fully_symmetric(p)
+        if any(struct[1] for struct, _ in p.groups):
+            assert not trace(delta_terms_times_7(p), 0, 1).is_zero
+
     @pytest.mark.parametrize("l", range(1, 7))
     def test_harmonic_tensor_term_count(self, l):
         by_r = {}
@@ -553,7 +581,7 @@ class TestStructure:
             assert result.rank == 0
             assert result.parity == "even"
             for t in result.poly.terms:
-                assert result.poly.term_atom(t).i_pow == 0, cid
+                assert term_atom(result.poly, t).i_pow == 0, cid
                 assert t.boxes == () and t.epses == ()
                 assert t.vecs == () and t.deltas == ()
 
@@ -570,7 +598,7 @@ class TestStructure:
         for t in result.poly.terms:
             assert len(t.boxes) == 1
             assert t.epses == ()
-            assert result.poly.term_atom(t).i_pow == 0
+            assert term_atom(result.poly, t).i_pow == 0
 
 
 # ---------------------------------------------------------------------------

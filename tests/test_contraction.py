@@ -21,10 +21,9 @@ from hypothesis import strategies as st
 
 from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, atom
-from cartensor.tensor import (TensorPoly, TensorTerm, contract_slots, poly_add,
-                              poly_permute_slots, poly_scale)
+from cartensor.tensor import TensorPoly, TensorTerm, contract_slots, poly_add, poly_scale
 
-from helpers import full_contract, poly_of, scalar_poly
+from helpers import full_contract, poly_of, poly_permute_slots, scalar_poly
 from reference_contraction import _build, _term_to_raw, reference_contract_slots
 
 SYMBOLS = ('a', 'b', 'c', 'd')

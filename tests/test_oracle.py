@@ -26,7 +26,8 @@ from cartensor.reduce import Couple, Harmonic, reduce_expr
 from cartensor.tensor import TensorPoly, TensorTerm, harmonic_tensor, poly_add, poly_scale
 from cartensor.wigner import three_j
 
-from helpers import UnitVector, legendre, legendre_coeffs, legendre_prime, poly_of
+from helpers import (UnitVector, legendre, legendre_coeffs, legendre_prime, poly_of, rho,
+                     term_atom, to_float)
 
 Z_HAT = UnitVector(0.0, 0.0, 1.0)
 
@@ -211,6 +212,10 @@ class TestUMatrixBridge:
         for perm in permutations(range(1, L + 1)):
             assert np.abs(U - U.transpose((0,) + perm)).max() < 1e-15
 
+    @pytest.mark.parametrize("l", range(11))
+    def test_rho_float_is_the_exact_rho(self, l):
+        assert math.isclose(rho_float(l), to_float(rho(l)), rel_tol=1e-15, abs_tol=0)
+
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 8])
     def test_tensor_to_spherical_components(self, l):
         """rho(l) * U . T^(l)(v) reproduces the harmonic components."""
@@ -367,7 +372,7 @@ def _reference_eval(poly, vecs, n):
     out = np.zeros((3,) * L + (n,), dtype=complex)
     basis = np.eye(3)
     for t in poly.terms:
-        base = np.full(n, poly.term_atom(t).to_complex())
+        base = np.full(n, term_atom(poly, t).to_complex())
         for s1, s2, e in t.dots:
             base = base * np.sum(vecs[s1] * vecs[s2], axis=1) ** e
         for b in t.boxes:

@@ -18,13 +18,13 @@ from cartensor.reduce import (
     q_factor,
     r_factor,
     reduce_expr,
-    rho,
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import contract, harmonic_tensor, poly_scale, traceless_contract
+from cartensor.tensor import harmonic_tensor, poly_scale, traceless_contract
 
-from helpers import cross_vector, poly_sub, reduce_pair_identities
+from helpers import (contract, cross_vector, poly_sub, reduce_pair_identities, rho,
+                     term_atom)
 
 
 def _exact(a, rat, radicand=1, pi_half=0):
@@ -114,7 +114,7 @@ class TestReduce:
         assert len(res.poly.terms) == 1
         t = res.poly.terms[0]
         assert t.dots == (('a', 'b', 1),)
-        assert res.poly.term_atom(t) == atom(Fraction(1, 4), 3, -2)
+        assert term_atom(res.poly, t) == atom(Fraction(1, 4), 3, -2)
         assert [label for label, _ in res.factor_trace] == ["S[1]"]
 
     def test_odd_scalar_triple(self):
@@ -127,7 +127,7 @@ class TestReduce:
         assert t.boxes == (('a', 'b', 'c'),)
         assert t.dots == ()
         # r[1,1,1] * S[1] = sqrt(3/2) sqrt3 /(8 pi^2) = 3/(8 sqrt2 pi^2)
-        assert res.poly.term_atom(t) == \
+        assert term_atom(res.poly, t) == \
             atom_canonical(atom_mul(r_factor(1, 1, 1), s_factor(1)))
 
     def test_rank_one_odd_pair(self):
@@ -140,7 +140,7 @@ class TestReduce:
         t = res.poly.terms[0]
         assert t.dots == (('a', 'b', 1),)
         assert t.epses == cross_vector('a', 'b').terms[0].epses
-        assert res.poly.term_atom(t) == atom_canonical(r_factor(2, 2, 1))
+        assert term_atom(res.poly, t) == atom_canonical(r_factor(2, 2, 1))
         assert [label for label, _ in res.factor_trace] == ["r[2,2,1]"]
 
     def test_factor_trace_order(self):
