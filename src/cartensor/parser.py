@@ -130,6 +130,16 @@ class _Parser:
             return self._parse_coupling()
         self._error("expected 'Y[l](v)' or a coupling '[... x ...][L]'")
 
+    def _int(self, tok, what: str) -> int:
+        """The value of the INT token tok; an integer too long for int() (the
+        interpreter's digit limit) is a syntax error under the literal."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ExprSyntaxError(
+                f"{what} too large: {len(tok[1])} digits", self.source,
+                SourceSpan(tok[2], tok[3])) from None
+
     def _parse_harmonic(self) -> Harmonic:
         head = self._expect("NAME", "'Y'")
         if head[1] != "Y":
@@ -141,7 +151,8 @@ class _Parser:
         self._expect("LP", "'(' before the vector name")
         name = self._expect("NAME", "a vector name")
         close = self._expect("RP", "')' after the vector name")
-        return Harmonic(int(l_tok[1]), name[1], SourceSpan(head[2], close[3]))
+        return Harmonic(self._int(l_tok, "harmonic degree"), name[1],
+                        SourceSpan(head[2], close[3]))
 
     def _parse_coupling(self) -> Couple:
         open_tok = self._expect("LB", "'['")
@@ -161,7 +172,8 @@ class _Parser:
         L_tok = self._expect("INT", "an integer rank")
         close = self._expect("RB", "']' after the rank")
         self.depth -= 1
-        return Couple(left, right, int(L_tok[1]), SourceSpan(open_tok[2], close[3]))
+        return Couple(left, right, self._int(L_tok, "coupled rank"),
+                      SourceSpan(open_tok[2], close[3]))
 
 
 def parse(source: str) -> CouplingExpr:

@@ -88,11 +88,12 @@ MAX_LEAF_TERMS = 10_000
 def leaf_too_large(l: int) -> bool:
     """Whether harmonic_tensor(v, l) has more than MAX_LEAF_TERMS terms.
 
-    harmonic_tensor builds one term per partial matching (involution) of the
-    l slots, so it has T(l) terms: T(l) = T(l-1) + (l-1) T(l-2), T(0) = T(1)
-    = 1, as the last slot is unmatched or paired with one of the other l-1.
-    The count stops as soon as it passes the bound, so a huge l costs a dozen
-    steps."""
+    harmonic_tensor builds one term per slot placement of {v^(l-2r) delta^r},
+    so it has T(l) = sum over r of embed_count(l, (l-2r,), r) terms, the
+    partial matchings (involutions) of the l slots.  They obey T(l) = T(l-1)
+    + (l-1) T(l-2), T(0) = T(1) = 1, as the last slot is unmatched or paired
+    with one of the other l-1; the recurrence stops as soon as it passes the
+    bound, so a huge l costs a dozen steps."""
     prev, cur = 1, 1
     for n in range(2, l + 1):
         prev, cur = cur, cur + (n - 1) * prev

@@ -65,16 +65,17 @@ numerator and adds a dot monomial.  A coupling node thaws its two children
 once, and int numerators flow through its whole sum over r: each contraction
 writes a raw result (denominator: the product of its sides'), the odd-parity
 epsilon hook contracts that raw result, and the embedding relabels each
-structure, once per distribution, straight into the node's one accumulator
+structure, once per slot placement, straight into the node's one accumulator
 with the weight of its r (denominator: the lcm over r).  The node is then
-frozen once, into the normal form below.  A harmonic leaf needs neither
-contraction nor embedding: its terms are the partial matchings of its slots,
-each already a canonical structure, and they are frozen once.  The public
-traceless_contract (a rank-0 root), contract_slots and symmetrized_embed each
-thaw their arguments and freeze their result around the same raw core; the
-last two have no caller in the package and stay because the benchmark's tracer
-wraps them by name.  Embedding relabels without bonds, so it goes straight to
-the canonical form.
+frozen once, into the normal form below.  One enumerator, _placements, lists
+the slot placements of the brace {core delta^r}, for the embedding and for a
+harmonic leaf.  A leaf needs neither contraction nor relabelling: each
+placement of {v^(l-2r) delta^r} is already a canonical structure, and its
+terms are frozen once.  The public traceless_contract (a rank-0 root),
+contract_slots and symmetrized_embed each thaw their arguments and freeze
+their result around the same raw core; the last two have no caller in the
+package and stay because the benchmark's tracer wraps them by name.
+Embedding relabels without bonds, so it goes straight to the canonical form.
 
 A TensorPoly is that form frozen, (rank, prefactor, den, groups), with groups
 the strictly ascending tuple of (struct, ((dots, numerator), ...)).  Its normal
@@ -664,20 +665,9 @@ def traceless_contract(A: TensorPoly, B: TensorPoly, k: int,
 # Symmetrized embedding  { core * delta^r }
 # ---------------------------------------------------------------------------
 
-def _pairings(slots: list):
-    if not slots:
-        yield []
-        return
-    first = slots[0]
-    for idx in range(1, len(slots)):
-        partner = slots[idx]
-        rest = slots[1:idx] + slots[idx + 1:]
-        for tail in _pairings(rest):
-            yield [(first, partner)] + tail
-
-
 def embed_count(total_rank: int, group_sizes, r: int) -> int:
-    """Number of distinct terms in the symmetrized distribution."""
+    """Number of distinct slot placements of the brace {core delta^r}:
+    total_rank! / (g1! g2! ... 2^r r!)."""
     n = factorial(total_rank)
     for g in group_sizes:
         n //= factorial(g)
@@ -685,16 +675,23 @@ def embed_count(total_rank: int, group_sizes, r: int) -> int:
     return n
 
 
-def _distributions(remaining: tuple, group_sizes: list, chosen: list):
-    """Yield (slot sets, delta pairing) for every way to give the groups past
-    those in chosen a slot set each from remaining and pair the slots left."""
-    if len(chosen) == len(group_sizes):
-        for pr in _pairings(list(remaining)):
-            yield list(chosen), pr
-        return
-    for combo in itertools.combinations(remaining, group_sizes[len(chosen)]):
-        yield from _distributions(tuple(s for s in remaining if s not in combo),
-                                  group_sizes, chosen + [combo])
+def _placements(total_rank: int, group_sizes, r: int) -> list:
+    """[(m, pairs)] for every distinct slot placement of the brace {core
+    delta^r} on total_rank = sum(group_sizes) + 2r output slots: m[i] is the
+    output slot of core slot i (the groups consecutive, each group's slots
+    ascending), and pairs are the r deltas (i, j), i < j, ascending.  Raises
+    AssertionError unless there are embed_count(total_rank, group_sizes, r)."""
+    states = [((), tuple(range(total_rank)), ())]
+    for g in group_sizes:
+        states = [(m + c, tuple([s for s in rest if s not in c]), ())
+                  for m, rest, _ in states for c in itertools.combinations(rest, g)]
+    for _ in range(r):
+        states = [(m, rest[1:k] + rest[k + 1:], pairs + ((rest[0], rest[k]),))
+                  for m, rest, pairs in states for k in range(1, len(rest))]
+    expected = embed_count(total_rank, group_sizes, r)
+    if len(states) != expected:
+        raise AssertionError(f"placement count {len(states)} != {expected}")
+    return [(m, pairs) for m, _, pairs in states]
 
 
 def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
@@ -702,31 +699,16 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
     """Add weight times each term of the symmetrized embedding of the raw
     polynomial core (see symmetrized_embed) to acc.  The caller picks the int
     weight so that the numerators in acc share one denominator.  Each
-    structure is relabelled once per distribution; its numerators follow."""
-    group_sizes = list(group_sizes)
+    structure is relabelled once per placement, with m as its slot map and the
+    placement's deltas appended; its numerators follow."""
     if core[0] != sum(group_sizes):
         raise ValueError("group sizes must cover the core rank")
     if total_rank != core[0] + 2 * r:
         raise ValueError("total rank inconsistent with delta count")
-    distributions = list(_distributions(tuple(range(total_rank)), group_sizes, []))
-    expected = embed_count(total_rank, group_sizes, r)
-    if len(distributions) != expected:
-        raise AssertionError(
-            f"distribution count {len(distributions)} != {expected}")
-
-    offsets = []
-    off = 0
-    for g in group_sizes:
-        offsets.append(off)
-        off += g
     structs = [(struct, tuple(nums.items())) for struct, nums in core[2].items()]
-    for chosen, pr in distributions:
-        m = {}
-        for gi, combo in enumerate(chosen):
-            for local, slot in enumerate(sorted(combo)):
-                m[offsets[gi] + local] = slot
+    for m, pairs in _placements(total_rank, group_sizes, r):
         for struct, monos in structs:
-            moved = _relabel(struct, m, pr)
+            moved = _relabel(struct, m, pairs)
             if moved is not None:
                 _merge(acc, moved[0], monos, weight * moved[1])
 
@@ -734,11 +716,11 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
 def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
                       total_rank: int) -> TensorPoly:
     """Distribute total_rank free slots over the core's slot groups plus r
-    Kronecker deltas, summing over distinct distributions.
+    Kronecker deltas, summing over distinct placements (_placements).
 
     The core's slots must be grouped consecutively (group 0 first) and the core
-    must be symmetric within each group; distributions assign each group an
-    unordered slot set and pair the remaining 2r slots into deltas.
+    must be symmetric within each group; a placement assigns each group an
+    unordered slot set and pairs the remaining 2r slots into deltas.
     """
     raw = _thaw(core)
     acc: dict = {}
@@ -750,36 +732,25 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
 # Harmonic (symmetric traceless) tensors
 # ---------------------------------------------------------------------------
 
-def _matchings(slots: tuple) -> list:
-    """[(unmatched, pairs)] for every partial matching of slots, an ascending
-    tuple: the unmatched slots ascending, the pairs (i, j), i < j, ascending."""
-    if len(slots) < 2:
-        return [(slots, ())]
-    first, rest = slots[0], slots[1:]
-    out = [((first,) + free, pairs) for free, pairs in _matchings(rest)]
-    for k, partner in enumerate(rest):
-        pair = ((first, partner),)
-        out += [(free, pair + pairs) for free, pairs in _matchings(rest[:k] + rest[k + 1:])]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _harmonic_cached(name: str, l: int) -> TensorPoly:
-    """One term per partial matching of the l slots: r pairs are deltas, the
-    unmatched slots carry the vector, and the numerator (-1)^r (2l-2r-1)!! is
-    over l!.  Each term is its own structure, already canonical; the sum is
-    frozen once."""
-    weight = [(-1) ** r * double_factorial(2 * l - 2 * r - 1) for r in range(l // 2 + 1)]
-    acc = {(tuple([(name, i) for i in free]), pairs, (), ()): {(): weight[len(pairs)]}
-           for free, pairs in _matchings(tuple(range(l)))}
+    """One term per placement of {v^(l-2r) delta^r} on the l slots, for r =
+    0..l//2: the vector on the slots m, the deltas on the pairs, and the
+    numerator (-1)^r (2l-2r-1)!! over l!.  Each term is its own structure,
+    already canonical; the sum is frozen once."""
+    acc = {}
+    for r in range(l // 2 + 1):
+        nums = {(): (-1) ** r * double_factorial(2 * l - 2 * r - 1)}
+        for m, pairs in _placements(l, (l - 2 * r,), r):
+            acc[tuple([(name, i) for i in m]), pairs, (), ()] = nums
     return _from_numerators(l, factorial(l), acc)
 
 
 def harmonic_tensor(v: str, l: int) -> TensorPoly:
     """Rank-l symmetric traceless tensor of the unit vector named v:
     Y^[l](v) = sum over r of (-1)^r (2l-2r-1)!!/l! {v^(l-2r) delta^r}, the
-    braces summing over the distinct ways to place r deltas on the l slots,
-    one term per partial matching of the slots.
+    braces summing over the distinct placements of r deltas and the l-2r
+    vectors on the l slots, one term each (_placements).
 
     Leading coefficient (2l-1)!!/l!; full contraction with u x ... x u yields
     the Legendre polynomial P_l(v.u)."""

@@ -103,12 +103,30 @@ def test_huge_leaf_degree_exit_2(capsys, command, degree):
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])
-@pytest.mark.parametrize("degree", ["40", "99999999999999999999"])
+@pytest.mark.parametrize("degree", ["40", "99999999999999999999",
+                                    pytest.param("9" * 5000, id="5000-nines")])
 def test_huge_bare_leaf_exit_2(capsys, command, degree):
     code, out, err = run(capsys, command, f"Y[{degree}](a)")
     assert code == 2
     assert out == ""
     assert "too large" in err.splitlines()[0]
+
+
+# One digit past the interpreter's default limit on int() of a string.
+LONG_RANK = "1" * 4301
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_overlong_coupled_rank_exit_2(capsys, command):
+    """An integer literal too long for int() is a caret diagnostic under the
+    literal, not a traceback."""
+    source = f"[Y[1](a) x Y[1](b)][{LONG_RANK}]"
+    code, out, err = run(capsys, command, source)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error: coupled rank too large: 4301 digits"
+    assert lines[2] == "  " + " " * source.index(LONG_RANK) + "^" * len(LONG_RANK)
 
 
 class TestVerify:
@@ -249,6 +267,17 @@ class TestCorpus:
         assert code == 1
         assert out.strip() == "25/26 pass, A3 parse"
         assert "expected '('" in err
+
+    def test_check_classifies_overlong_literal_as_parse(self, capsys, tmp_path):
+        target = tmp_path / "long.jsonl"
+        entry = {"id": "L1", "expr": f"[Y[1](a) x Y[1](b)][{LONG_RANK}]",
+                 "expected": {}}
+        target.write_text(json.dumps(entry) + "\n")
+        code, out, err = run(capsys, "corpus", "--check", "--file", str(target),
+                             "--samples", "5")
+        assert code == 1
+        assert out.strip() == "0/1 pass, L1 parse"
+        assert err.startswith("error: coupled rank too large")
 
     def test_regen_and_check_conflict(self, capsys):
         code, _, err = run(capsys, "corpus", "--regen", "--check")

@@ -6,6 +6,7 @@ combinatorial term counts of the symmetrized embeddings.
 """
 
 import ast
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -298,6 +299,42 @@ class TestSymmetrizedEmbed:
                         * 2 ** r * math.factorial(r)))
         assert len(p.terms) == expected
         assert embed_count(total, (g1, g2), r) == expected
+
+
+PLACEMENT_SHAPES = [
+    (0, (), 0), (2, (), 1), (4, (), 2),          # total rank 0; deltas alone
+    (3, (0, 3), 0), (4, (2, 0), 1),              # an empty group
+    (4, (2, 2), 0), (6, (1, 1), 2),              # two groups, r = 0 and r = 2
+    (5, (1, 2, 2), 0), (7, (1, 2, 2), 1),        # odd parity (1, g1, g2)
+    (6, (1, 1, 2), 1), (8, (1, 3, 0), 2),
+] + [(l, (l - 2 * r,), r) for l in range(11) for r in range(l // 2 + 1)]
+
+
+class TestPlacements:
+    @pytest.mark.parametrize("total,groups,r", PLACEMENT_SHAPES)
+    def test_placements_are_the_distinct_slot_assignments(self, total, groups, r):
+        out = tensor._placements(total, groups, r)
+        assert len(out) == embed_count(total, groups, r)
+        assert len(set(out)) == len(out)
+        bounds = list(itertools.accumulate(groups, initial=0))
+        for m, pairs in out:
+            assert len(m) == sum(groups) and len(pairs) == r
+            assert sorted(m + tuple(s for p in pairs for s in p)) == list(range(total))
+            for lo, hi in zip(bounds, bounds[1:]):
+                assert list(m[lo:hi]) == sorted(m[lo:hi])
+            assert all(i < j for i, j in pairs)
+            assert list(pairs) == sorted(pairs)
+
+    @pytest.mark.parametrize("build", [
+        lambda: tensor._placements(6, (2, 2), 1),
+        lambda: symmetrized_embed(harmonic_tensor('a', 2), [2], 1, 4),
+        lambda: tensor._harmonic_cached.__wrapped__('a', 4),
+    ], ids=["placements", "embedding", "leaf"])
+    def test_count_check_raises(self, monkeypatch, build):
+        count = tensor.embed_count
+        monkeypatch.setattr(tensor, "embed_count", lambda *args: count(*args) + 1)
+        with pytest.raises(AssertionError, match="placement count"):
+            build()
 
 
 class TestEvenCoupling:
