@@ -10,6 +10,10 @@ constant produced by the reduction engine (Clebsch-Gordan coefficients, 3j symbo
 coupling normalizations, spherical prefactors) lives in this set, so all engine
 arithmetic is exact; floats appear only in the numeric cross-check oracle.
 
+The integer helpers build the closed-form radicands: factorial is
+math.factorial, re-exported so that the package names one n!, and
+double_factorial and square_free_split are defined here.
+
 Atoms have one normal form, atom_canonical: nonzero rat (or the unique zero),
 square-free positive integer radicand, i_pow in {0, 1}.  Equal values have
 equal canonical atoms.  atom() and atom_mul() return that form.
@@ -29,19 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 
 
 # ---------------------------------------------------------------------------
 # Integer helpers
 # ---------------------------------------------------------------------------
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
-
 
 def double_factorial(n: int) -> int:
     """n!! for n >= -1, with (-1)!! == 0!! == 1.
@@ -112,11 +109,6 @@ class CoeffAtom:
         return v * (1j ** (self.i_pow % 4))
 
 
-@lru_cache(maxsize=None)
-def _radicand(n: int) -> Fraction:
-    return Fraction(n)
-
-
 def atom(rat, radicand=1, pi_half: int = 0, i_pow: int = 0) -> CoeffAtom:
     """Convenience constructor, in canonical form."""
     return atom_canonical(CoeffAtom(Fraction(rat), Fraction(radicand), pi_half, i_pow))
@@ -143,7 +135,7 @@ def atom_canonical(a: CoeffAtom) -> CoeffAtom:
     if i_pow >= 2:
         rat = -rat
         i_pow -= 2
-    return CoeffAtom(rat, _radicand(f), a.pi_half, i_pow)
+    return CoeffAtom(rat, Fraction(f), a.pi_half, i_pow)
 
 
 def atom_mul(a: CoeffAtom, b: CoeffAtom) -> CoeffAtom:
@@ -168,15 +160,14 @@ class CoeffSum:
 
     @staticmethod
     def from_atoms(atoms) -> "CoeffSum":
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[Fraction, int, int], Fraction] = {}
         for raw in atoms:
             a = atom_canonical(raw)
             if a.rat == 0:
                 continue
-            k = (a.radicand.numerator, a.pi_half, a.i_pow)
+            k = (a.radicand, a.pi_half, a.i_pow)
             acc[k] = acc[k] + a.rat if k in acc else a.rat
-        return CoeffSum(tuple([CoeffAtom(r, _radicand(k[0]), k[1], k[2])
-                               for k, r in sorted(acc.items()) if r]))
+        return CoeffSum(tuple([CoeffAtom(r, *k) for k, r in sorted(acc.items()) if r]))
 
     @staticmethod
     def from_atom(a: CoeffAtom) -> "CoeffSum":

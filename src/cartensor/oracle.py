@@ -364,10 +364,16 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     """Compare the reduced polynomial against direct spherical evaluation.
 
     A caller that has already reduced expr passes that reduction as result,
-    and it is checked instead of reducing expr again."""
+    and it is checked instead of reducing expr again.  The report passes when
+    the largest absolute error, and for a scalar the largest imaginary leak,
+    is at most tol * min(1, scale), scale being the largest |spherical value|:
+    an absolute bound at magnitude 1 and above, a relative one below it.  tol
+    must be finite and greater than 0."""
     from .parser import parse, render_expr_text
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and greater than 0, got {tol}")
     if isinstance(expr, str):
         expr = parse(expr)
     if result is None:
@@ -390,7 +396,7 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     err = float(abs_err[row, sample])
     scale = float(np.max(np.abs(S)))
     rel = err / scale if scale else (0.0 if err == 0 else math.inf)
-    passed = bool(err <= tol and leak <= tol)
+    passed = bool(max(err, leak) <= tol * min(1.0, scale))
     return VerifyReport(expr=render_expr_text(expr), samples=n_samples,
                         seed=seed, max_abs_err=err, max_imag_leak=leak,
                         passed=passed, max_rel_err=rel,

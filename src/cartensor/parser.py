@@ -75,7 +75,7 @@ def format_error(err: ExprError) -> str:
 MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
-    r"(?P<WS>\s+)|(?P<INT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
+    r"(?P<WS>\s+)|(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<LB>\[)|(?P<RB>\])|(?P<LP>\()|(?P<RP>\))")
 
 

@@ -24,7 +24,7 @@ contrastandard phases cancel, living only in the bridge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
@@ -138,25 +138,30 @@ def _check_triangles(node: CouplingExpr) -> int:
 # Exact scalar factors
 # ---------------------------------------------------------------------------
 
-def _abs_atom(a: CoeffAtom) -> CoeffAtom:
-    return CoeffAtom(abs(a.rat), a.radicand, a.pi_half, a.i_pow)
-
-
 def _hat2_over_sqrt4pi(l1: int, l2: int) -> CoeffAtom:
     # sqrt((2l1+1)(2l2+1)) / sqrt(4 pi)
     return atom(Fraction(1, 2), Fraction((2 * l1 + 1) * (2 * l2 + 1)), -1)
 
 
+def _dual_form(name: str, l1: int, l2: int, l3: int,
+               via_3j: CoeffAtom, closed: CoeffAtom) -> CoeffAtom:
+    """sqrt((2l1+1)(2l2+1)/(4 pi)) * closed, after checking that closed, the
+    factor's closed form, is the magnitude of via_3j, the same factor through
+    the 3j symbol (whose sign is the symbol's phase)."""
+    if replace(via_3j, rat=abs(via_3j.rat)) != closed:
+        raise AssertionError(f"{name} forms disagree at ({l1},{l2},{l3})")
+    return atom_mul(_hat2_over_sqrt4pi(l1, l2), closed)
+
+
 @lru_cache(maxsize=None)
 def q_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
-    """Scalar factor for an even-parity interior coupling.
+    """Scalar factor for an even-parity interior coupling,
+    sqrt((2l1+1)(2l2+1)/(4 pi)) |(l1 l2 l3; 0 0 0)|.
 
-    Computed two independent ways (via the 3j symbol at zero projections and
-    via a closed double-factorial form) and asserted equal."""
+    Computed two independent ways, via the 3j symbol at zero projections and
+    via a closed double-factorial form, which _dual_form checks agree."""
     if (l1 + l2 + l3) % 2:
         raise ValueError("q_factor requires even l1+l2+l3")
-    via_3j = atom_mul(_hat2_over_sqrt4pi(l1, l2),
-                      _abs_atom(three_j(l1, l2, l3, 0, 0, 0)))
     J, J1, J2, J3 = _jays(l1, l2, l3)
     rad = Fraction(
         double_factorial(J1) * double_factorial(J2) * double_factorial(J3)
@@ -164,20 +169,21 @@ def q_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
         factorial((J1 + 1) // 2) * factorial((J2 + 1) // 2)
         * factorial((J3 + 1) // 2) * double_factorial(J + 1),
     )
-    closed = atom_mul(_hat2_over_sqrt4pi(l1, l2), atom(1, rad))
-    if via_3j != closed:
-        raise AssertionError(f"q_factor forms disagree at ({l1},{l2},{l3})")
-    return via_3j
+    return _dual_form("q_factor", l1, l2, l3,
+                      three_j(l1, l2, l3, 0, 0, 0), atom(1, rad))
 
 
 @lru_cache(maxsize=None)
 def r_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
-    """Scalar factor for an odd-parity interior coupling; dual-form asserted."""
+    """Scalar factor for an odd-parity interior coupling,
+    sqrt((2l1+1)(2l2+1)/(4 pi)) sqrt(l1(l1+1) l2(l2+1))/(2 l3)
+    |(l1 l2 l3; 1 -1 0)|.
+
+    Computed two independent ways, via the 3j symbol and via a closed
+    double-factorial form, which _dual_form checks agree."""
     if (l1 + l2 + l3) % 2 == 0:
         raise ValueError("r_factor requires odd l1+l2+l3")
     grad = atom(Fraction(1, 2 * l3), Fraction(l1 * (l1 + 1) * l2 * (l2 + 1)))
-    via_3j = atom_mul(atom_mul(_hat2_over_sqrt4pi(l1, l2), grad),
-                      _abs_atom(three_j(l1, l2, l3, 1, -1, 0)))
     J, J1, J2, J3 = _jays(l1, l2, l3)
     rad = Fraction(
         double_factorial(J1 + 1) * double_factorial(J2 + 1)
@@ -185,10 +191,9 @@ def r_factor(l1: int, l2: int, l3: int) -> CoeffAtom:
         factorial(J1 // 2) * factorial(J2 // 2) * factorial(J3 // 2)
         * double_factorial(J),
     )
-    closed = atom_mul(_hat2_over_sqrt4pi(l1, l2), atom(Fraction(1, 2 * l3), rad))
-    if via_3j != closed:
-        raise AssertionError(f"r_factor forms disagree at ({l1},{l2},{l3})")
-    return via_3j
+    return _dual_form("r_factor", l1, l2, l3,
+                      atom_mul(grad, three_j(l1, l2, l3, 1, -1, 0)),
+                      atom(Fraction(1, 2 * l3), rad))
 
 
 def s_factor(L: int) -> CoeffAtom:

@@ -196,6 +196,7 @@ class TensorPoly:
 
 _PERMS3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+_PERM_SIGN = dict(_PERMS3)
 
 _by_slot = itemgetter(1)
 
@@ -259,31 +260,20 @@ def _fuse(x, y, vecs: list, deltas: list, pairs: list, eps: list) -> bool:
     return True
 
 
-def _sort_with_parity(items):
-    items = list(items)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-    return tuple(items), sign
-
-
 def _canonical_eps(ep) -> tuple | None:
     """(epses, boxes, sign) of the lone epsilon-like factor ep (a sequence of
-    three entries) in canonical entry order, or None if a repeated entry
-    annihilates it."""
+    three entries) with its entries in ascending order, and the sign of the
+    permutation that sorts them, read from _PERMS3; None if a repeated entry
+    annihilates it.  An all-symbol factor is a box of the three symbols."""
     if len({*ep}) < 3:
         return None
     kinds = (ep[0][0], ep[1][0], ep[2][0])
-    if kinds == ('s', 's', 's'):
-        triple, sign = _sort_with_parity(e[1] for e in ep)
-        return (), (triple,), sign
     if 'b' in kinds:
         raise AssertionError("unresolved bond outside an epsilon pair")
-    triple, sign = _sort_with_parity(ep)
-    return (triple,), (), sign
+    order = tuple(sorted(range(3), key=ep.__getitem__))
+    if kinds == ('s', 's', 's'):
+        return (), (tuple([ep[i][1] for i in order]),), _PERM_SIGN[order]
+    return (tuple([ep[i] for i in order]),), (), _PERM_SIGN[order]
 
 
 def _from_numerators(rank: int, den: int, acc: dict,
@@ -694,19 +684,16 @@ def _placements(total_rank: int, group_sizes, r: int) -> list:
     return [(m, pairs) for m, _, pairs in states]
 
 
-def _embed_into(acc: dict, core: tuple, group_sizes, r: int, total_rank: int,
-                weight: int) -> None:
+def _embed_into(acc: dict, core: tuple, group_sizes, r: int, weight: int) -> None:
     """Add weight times each term of the symmetrized embedding of the raw
-    polynomial core (see symmetrized_embed) to acc.  The caller picks the int
-    weight so that the numerators in acc share one denominator.  Each
-    structure is relabelled once per placement, with m as its slot map and the
-    placement's deltas appended; its numerators follow."""
+    polynomial core (see symmetrized_embed), on core rank + 2r slots, to acc.
+    The caller picks the int weight so that the numerators in acc share one
+    denominator.  Each structure is relabelled once per placement, with m as
+    its slot map and the placement's deltas appended; its numerators follow."""
     if core[0] != sum(group_sizes):
         raise ValueError("group sizes must cover the core rank")
-    if total_rank != core[0] + 2 * r:
-        raise ValueError("total rank inconsistent with delta count")
     structs = [(struct, tuple(nums.items())) for struct, nums in core[2].items()]
-    for m, pairs in _placements(total_rank, group_sizes, r):
+    for m, pairs in _placements(core[0] + 2 * r, group_sizes, r):
         for struct, monos in structs:
             moved = _relabel(struct, m, pairs)
             if moved is not None:
@@ -721,10 +708,14 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
     The core's slots must be grouped consecutively (group 0 first) and the core
     must be symmetric within each group; a placement assigns each group an
     unordered slot set and pairs the remaining 2r slots into deltas.
+    total_rank must equal the core's rank plus 2r; it is checked here, since
+    the embedding itself takes its rank from the core.
     """
+    if total_rank != core.rank + 2 * r:
+        raise ValueError("total rank inconsistent with delta count")
     raw = _thaw(core)
     acc: dict = {}
-    _embed_into(acc, raw, group_sizes, r, total_rank, 1)
+    _embed_into(acc, raw, group_sizes, r, 1)
     return _from_numerators(total_rank, raw[1], acc, core.prefactor)
 
 
@@ -808,13 +799,14 @@ def odd_norm(l1: int, l2: int, l3: int) -> Fraction:
 _EPS3 = (3, 1, {((), (), ((('f', 0), ('f', 1), ('f', 2)),), ()): {(): 1}})
 
 
-def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
+def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int,
                   norm: Fraction, scale: CoeffAtom) -> TensorPoly:
     """scale * norm * sum over r of c_r times the rank-l3 pieces of A and B for
-    the given parity of l1+l2-l3: A and B contracted on k+r slot pairs, for
-    odd parity an epsilon hooked to one free slot of each, then r deltas
+    the parity of l1+l2+l3: A and B contracted on k+r slot pairs, for odd
+    parity an epsilon hooked to one free slot of each, then r deltas
     symmetrized in.  Every step stays raw; the node is frozen once."""
     l1, l2 = A.rank, B.rank
+    parity = (l1 + l2 + l3) % 2
     k = (l1 + l2 - l3 - parity) // 2
     a, b = _thaw(A), _thaw(B)
     pieces = []
@@ -830,8 +822,7 @@ def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int, parity: int,
     den = math.lcm(*[c.denominator * core[1] for c, core, _, _ in pieces])
     acc: dict = {}
     for c, core, groups, r in pieces:
-        _embed_into(acc, core, groups, r, l3,
-                    c.numerator * (den // (c.denominator * core[1])))
+        _embed_into(acc, core, groups, r, c.numerator * (den // (c.denominator * core[1])))
     return _from_numerators(l3, den, acc,
                             _product_factor(A, B, atom_mul(scale, CoeffAtom(norm))))
 
@@ -841,7 +832,7 @@ def couple_even(A: TensorPoly, B: TensorPoly, l3: int,
     """Even-parity coupling of symmetric traceless tensors to rank l3, times
     the atom scale."""
     _check_triple(A.rank, B.rank, l3, 0)
-    return _coupling_sum(A, B, l3, 0, 1 / kappa_even(A.rank, B.rank, l3), scale)
+    return _coupling_sum(A, B, l3, 1 / kappa_even(A.rank, B.rank, l3), scale)
 
 
 def couple_odd(A: TensorPoly, B: TensorPoly, l3: int,
@@ -852,4 +843,4 @@ def couple_odd(A: TensorPoly, B: TensorPoly, l3: int,
         raise ValueError(
             "odd coupling to rank 0 is impossible (parity): use couple_even")
     _check_triple(A.rank, B.rank, l3, 1)
-    return _coupling_sum(A, B, l3, 1, odd_norm(A.rank, B.rank, l3), scale)
+    return _coupling_sum(A, B, l3, odd_norm(A.rank, B.rank, l3), scale)

@@ -129,6 +129,23 @@ def test_overlong_coupled_rank_exit_2(capsys, command):
     assert lines[2] == "  " + " " * source.index(LONG_RANK) + "^" * len(LONG_RANK)
 
 
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+@pytest.mark.parametrize("source", ["Y[３](a)", "Y[٢](a)",
+                                    "[Y[1](a) x Y[1](b)][２]"],
+                         ids=["fullwidth-degree", "arabic-indic-degree",
+                              "fullwidth-rank"])
+def test_non_ascii_digit_exit_2(capsys, command, source):
+    """Only the ASCII digits 0-9 make an integer; any other Unicode decimal
+    digit is a caret diagnostic under it, not a silently read number."""
+    code, out, err = run(capsys, command, source)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    digit = next(c for c in source if c.isdigit() and not c.isascii())
+    assert lines[0] == f"error: unexpected character {digit!r}"
+    assert lines[2] == "  " + " " * source.index(digit) + "^"
+
+
 class TestVerify:
     def test_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "[Y[1](a) x Y[1](b)][0]",

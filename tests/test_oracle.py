@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -311,6 +312,28 @@ class TestVerify:
     def test_sample_count_below_one_rejected(self, n):
         with pytest.raises(ValueError, match="n_samples"):
             verify("Y[1](a)", n)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerance_outside_domain_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and greater than 0"):
+            verify("Y[1](a)", 5, tol=tol)
+
+    @pytest.mark.parametrize("depth", [20, 30])
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_tiny_values_are_checked_relative(self, rank, depth):
+        """A chain of Y[0] couplings is worth about 0.28^depth, far below
+        tol; a result with every coefficient times 7 must still fail, while
+        the true result passes."""
+        expr = Harmonic(rank, "v0")
+        for i in range(1, depth + 1):
+            expr = Couple(expr, Harmonic(0, f"v{i}"), rank)
+        result = reduce_expr(expr)
+        wrong = replace(result, poly=poly_scale(result.poly, 7))
+        assert verify(expr, result=result).passed
+        rep = verify(expr, result=wrong)
+        assert rep.max_abs_err < 1e-10
+        assert rep.max_rel_err == pytest.approx(6.0)
+        assert not rep.passed
 
 
 class TestEvalExpr:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+from cartensor import reduce
 from cartensor.coeff import atom, atom_canonical, atom_mul
 from cartensor.oracle import verify
 from cartensor.reduce import (
@@ -73,6 +74,22 @@ class TestScalarFactors:
         _exact(r_factor(1, 1, 1), Fraction(1, 4), 6, -1)
         # r[2,2,1] = sqrt(15/2)/(2 sqrt(pi))
         _exact(r_factor(2, 2, 1), Fraction(1, 4), 30, -1)
+
+    @pytest.mark.parametrize("factor,ls", [(q_factor, (2, 2, 2)), (r_factor, (2, 2, 1))],
+                             ids=["q", "r"])
+    def test_forms_cross_check(self, monkeypatch, factor, ls):
+        """A 3j symbol off by a factor of 2 makes the two forms disagree."""
+        exact = reduce.three_j
+        monkeypatch.setattr(reduce, "three_j", lambda *args: atom_mul(atom(2), exact(*args)))
+        q_factor.cache_clear()
+        r_factor.cache_clear()
+        try:
+            with pytest.raises(AssertionError,
+                               match=rf"{factor.__name__} forms disagree at \({ls[0]},{ls[1]},{ls[2]}\)"):
+                factor(*ls)
+        finally:
+            q_factor.cache_clear()
+            r_factor.cache_clear()
 
     def test_s_values(self):
         _exact(s_factor(1), Fraction(1, 4), 3, -2)

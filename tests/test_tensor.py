@@ -188,6 +188,27 @@ class TestEpsilonAlgebra:
         assert coeff_of(p, dots=(('a', 'c', 1), ('b', 'd', 1))) == rational_atom(1)
         assert coeff_of(p, dots=(('a', 'd', 1), ('b', 'c', 1))) == rational_atom(-1)
 
+    EPS = (('f', 0), ('f', 3), ('s', 'a'))
+    BOX = (('s', 'a'), ('s', 'b'), ('s', 'c'))
+
+    @pytest.mark.parametrize("entries,canonical", [
+        (EPS, ((EPS,), ())),
+        (BOX, ((), (('a', 'b', 'c'),))),
+    ], ids=["epsilon", "box"])
+    def test_canonical_eps_sorts_with_the_permutation_sign(self, entries, canonical):
+        """Every ordering of three ascending entries comes back ascending,
+        with the sign of the ordering, counted here by inversions."""
+        for perm in itertools.permutations(range(3)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i, j in itertools.combinations(range(3), 2))
+            assert tensor._canonical_eps([entries[i] for i in perm]) == canonical + (sign,)
+
+    @pytest.mark.parametrize("ep", [
+        [('f', 0), ('s', 'a'), ('f', 0)],
+        [('s', 'b'), ('s', 'b'), ('s', 'a')],
+    ], ids=["epsilon", "box"])
+    def test_canonical_eps_repeated_entry_is_none(self, ep):
+        assert tensor._canonical_eps(ep) is None
+
     def test_cross_square_with_unit_vectors(self):
         # |a x b|^2 = 1 - (a.b)^2 for unit vectors
         p = full_contract(cross_vector('a', 'b'), cross_vector('a', 'b'))
