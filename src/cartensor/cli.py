@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from .oracle import DEFAULT_SEED, verify
+from .oracle import DEFAULT_SEED, MAX_SAMPLES, verify
 from .parser import (ExprError, format_error, parse, render_json,
                      render_latex, render_text, result_to_obj)
 from .reduce import reduce_expr
@@ -33,11 +33,6 @@ from .reduce import reduce_expr
 def _default_corpus_path():
     from importlib import resources
     return resources.files("cartensor").joinpath("data", "appendix.jsonl")
-
-
-# The oracle holds every sample's vectors and values at once, so the sample
-# count bounds its memory.
-MAX_SAMPLES = 10_000
 
 
 def sample_count(text: str) -> int:

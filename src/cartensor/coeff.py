@@ -19,13 +19,13 @@ square-free positive integer radicand, i_pow in {0, 1}.  Equal values have
 equal canonical atoms.  atom() and atom_mul() return that form.
 
 The engine needs no sums of atoms: a TensorPoly is one atom times a rational
-polynomial (see tensor.py).  A CoeffSum is the exact sum of atoms of different
-shapes, for callers that add such values (the Clebsch-Gordan orthogonality
-test).  No package code builds one; the class stays only because the
-benchmark's tracer wraps CoeffSum.from_atoms by name.  It holds canonical atoms
-sorted by the key (radicand, pi_half, i_pow), one atom per key, so equal values
-have equal sums.  Every sum is built by CoeffSum.from_atoms, so atom_canonical
-stays the only normal-form path.
+polynomial (see tensor.py), so no package code adds atoms of different shapes.
+CoeffSum, the exact sum of such atoms, keeps only its atoms field and
+from_atoms, because bench/tracing.py wraps CoeffSum.from_atoms by name.
+from_atoms holds canonical atoms sorted by the key (radicand, pi_half, i_pow),
+one atom per key, so equal values have equal sums; a sum, difference or
+product of sums is from_atoms of the concatenated atoms or of their atom_mul
+products, so atom_canonical stays the only normal-form path.
 """
 
 from __future__ import annotations
@@ -168,46 +168,6 @@ class CoeffSum:
             k = (a.radicand, a.pi_half, a.i_pow)
             acc[k] = acc[k] + a.rat if k in acc else a.rat
         return CoeffSum(tuple([CoeffAtom(r, *k) for k, r in sorted(acc.items()) if r]))
-
-    @staticmethod
-    def from_atom(a: CoeffAtom) -> "CoeffSum":
-        return CoeffSum.from_atoms([a])
-
-    # -- predicates -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms
-
-    @property
-    def is_real(self) -> bool:
-        return all(a.i_pow == 0 for a in self.atoms)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def add(self, other: "CoeffSum") -> "CoeffSum":
-        return CoeffSum.from_atoms(self.atoms + other.atoms)
-
-    def neg(self) -> "CoeffSum":
-        return CoeffSum(tuple([CoeffAtom(-a.rat, a.radicand, a.pi_half, a.i_pow)
-                               for a in self.atoms]))
-
-    def scale(self, factor) -> "CoeffSum":
-        """Multiply by a CoeffAtom, Fraction, or int."""
-        f = factor if isinstance(factor, CoeffAtom) else CoeffAtom(Fraction(factor))
-        return CoeffSum.from_atoms([atom_mul(a, f) for a in self.atoms])
-
-    def mul(self, other: "CoeffSum") -> "CoeffSum":
-        return CoeffSum.from_atoms([atom_mul(a, b) for a in self.atoms for b in other.atoms])
-
-    # -- conversion -------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        return sum((a.to_complex() for a in self.atoms), 0j)
-
-
-SUM_ZERO = CoeffSum(())
-SUM_ONE = CoeffSum.from_atom(ATOM_ONE)
 
 
 # ---------------------------------------------------------------------------

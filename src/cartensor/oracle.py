@@ -30,7 +30,7 @@ projects to zero and is skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +41,9 @@ from .reduce import (CouplingExpr, Harmonic, ReductionResult, expr_leaves,
 from .tensor import TensorPoly
 
 DEFAULT_SEED = 20240831
+# The oracle holds every sample's vectors and values at once, so the sample
+# count bounds its memory.
+MAX_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +349,8 @@ class VerifyReport:
     worst: dict
 
     def to_json(self) -> dict:
-        return {
-            "expr": self.expr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_abs_err": self.max_abs_err,
-            "max_imag_leak": self.max_imag_leak,
-            "pass": self.passed,
-            "max_rel_err": self.max_rel_err,
-            "worst": dict(self.worst),
-        }
+        """The fields in order, passed under the key "pass"."""
+        return {"pass" if k == "passed" else k: v for k, v in asdict(self).items()}
 
 
 def verify(expr, n_samples: int = 200, tol: float = 1e-10,
@@ -368,10 +363,12 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     the largest absolute error, and for a scalar the largest imaginary leak,
     is at most tol * min(1, scale), scale being the largest |spherical value|:
     an absolute bound at magnitude 1 and above, a relative one below it.  tol
-    must be finite and greater than 0."""
+    must be finite and greater than 0, and n_samples from 1 to MAX_SAMPLES."""
     from .parser import parse, render_expr_text
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and greater than 0, got {tol}")
     if isinstance(expr, str):

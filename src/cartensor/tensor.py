@@ -723,7 +723,9 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
 # Harmonic (symmetric traceless) tensors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Bounded in entries: a cached Y[10] holds about 5.4 MiB, and one benchmark
+# round uses at most 23 (symbol, l) keys.
+@lru_cache(maxsize=64)
 def _harmonic_cached(name: str, l: int) -> TensorPoly:
     """One term per placement of {v^(l-2r) delta^r} on the l slots, for r =
     0..l//2: the vector on the slots m, the deltas on the pairs, and the
@@ -804,26 +806,27 @@ def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int,
     """scale * norm * sum over r of c_r times the rank-l3 pieces of A and B for
     the parity of l1+l2+l3: A and B contracted on k+r slot pairs, for odd
     parity an epsilon hooked to one free slot of each, then r deltas
-    symmetrized in.  Every step stays raw; the node is frozen once."""
+    symmetrized in.  Every r-core has denominator A.den * B.den (_EPS3 has 1),
+    so the node's denominator is known first and each core is embedded as soon
+    as it is made.  Every step stays raw; the node is frozen once."""
     l1, l2 = A.rank, B.rank
     parity = (l1 + l2 + l3) % 2
     k = (l1 + l2 - l3 - parity) // 2
     a, b = _thaw(A), _thaw(B)
-    pieces = []
-    for r in range(min(l1, l2) - k - parity + 1):
+    cs = [Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
+                   double_factorial(2 * l3 - 1))
+          for r in range(min(l1, l2) - k - parity + 1)]
+    c_den = math.lcm(*[c.denominator for c in cs])
+    acc: dict = {}
+    for r, c in enumerate(cs):
         core = _traceless_raw(a, b, k + r)
         g1, g2 = l1 - k - r - parity, l2 - k - r - parity
         if parity:
             # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
             core = _contract_raw(_EPS3, core, [(1, g1), (2, g1 + 1)])
-        c = Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
-                     double_factorial(2 * l3 - 1))
-        pieces.append((c, core, [1] * parity + [g1, g2], r))
-    den = math.lcm(*[c.denominator * core[1] for c, core, _, _ in pieces])
-    acc: dict = {}
-    for c, core, groups, r in pieces:
-        _embed_into(acc, core, groups, r, c.numerator * (den // (c.denominator * core[1])))
-    return _from_numerators(l3, den, acc,
+        _embed_into(acc, core, [1] * parity + [g1, g2], r,
+                    c.numerator * (c_den // c.denominator))
+    return _from_numerators(l3, c_den * A.den * B.den, acc,
                             _product_factor(A, B, atom_mul(scale, CoeffAtom(norm))))
 
 

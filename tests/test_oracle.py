@@ -13,6 +13,7 @@ from cartensor import oracle
 from cartensor.coeff import atom
 from cartensor.oracle import (
     DEFAULT_SEED,
+    MAX_SAMPLES,
     cg,
     eval_expr_components,
     eval_poly_batch,
@@ -312,6 +313,10 @@ class TestVerify:
     def test_sample_count_below_one_rejected(self, n):
         with pytest.raises(ValueError, match="n_samples"):
             verify("Y[1](a)", n)
+
+    def test_sample_count_above_bound_rejected(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_SAMPLES}"):
+            verify("Y[1](a)", n_samples=MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerance_outside_domain_rejected(self, tol):

@@ -2,10 +2,12 @@
 
 src/cartensor holds only what reduce, verify, the CLI and the benchmark call;
 what only the tests call lives in tests/helpers.py.  Each public module-level
-function or class, and each public method of TensorPoly and CoeffAtom, must
-be referenced in the package outside its own definition, be listed in
-cartensor.__all__, or be named in PINNED with the benchmark file that calls
-it by name.  An import alone is not a reference.
+function, class or constant, and each public method of TensorPoly and
+CoeffAtom, must be referenced in the package outside its own definition, be
+listed in cartensor.__all__, or be named in PINNED with the benchmark file
+that calls it by name.  An import alone is not a reference, and neither is a
+constant that no one reads: the constants are checked too, so a dead constant
+cannot keep the name it refers to alive.
 """
 
 import ast
@@ -21,6 +23,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # Names with no caller in the package that a benchmark file calls, wraps or
 # reads by name; each leaves when that file stops using it.
 PINNED = {
+    "CoeffSum": "tracing.py",
     "contract_slots": "tracing.py",
     "symmetrized_embed": "tracing.py",
     "poly_add": "tracing.py",
@@ -41,10 +44,16 @@ def _refs(node) -> Counter:
 
 def _public_defs(tree):
     """(qualified name, name, definition node) for each public module-level
-    function or class, and each public method of CLASSES_WITH_METHODS."""
+    function, class or constant (an assigned name), and each public method of
+    CLASSES_WITH_METHODS."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name, node
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for t in targets:
+            if isinstance(t, ast.Name) and not t.id.startswith("_"):
+                yield t.id, t.id, node
         if isinstance(node, ast.ClassDef) and node.name in CLASSES_WITH_METHODS:
             for f in node.body:
                 if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul, square_free_split
-from cartensor.reduce import MAX_LEAF_TERMS, leaf_too_large
+from cartensor.reduce import MAX_LEAF_TERMS, Harmonic, leaf_too_large, reduce_expr
 from cartensor.tensor import (
     TensorPoly,
     TensorTerm,
@@ -301,6 +301,12 @@ class TestHarmonicTensor:
         for l in range(11):
             harmonic_tensor('a', l)
         assert calls == []
+
+    def test_leaf_cache_is_bounded(self):
+        tensor._harmonic_cached.cache_clear()
+        for i in range(100):
+            reduce_expr(Harmonic(2, f"s{i}"))
+        assert tensor._harmonic_cached.cache_info().currsize == 64
 
 
 class TestSymmetrizedEmbed:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartensor.coeff import CoeffSum, SUM_ONE, SUM_ZERO, atom, atom_canonical
+from cartensor.coeff import CoeffSum, atom, atom_canonical, atom_mul
 from cartensor.wigner import three_j, triangle_ok
 
 from helpers import cg_float, clebsch_gordan, to_float
@@ -103,19 +103,19 @@ class TestClebschGordan:
         l1, l2 = 2, 2
         for L in range(0, 5):
             for Lp in range(0, 5):
-                total = SUM_ZERO
+                prods = []
                 for m1 in range(-l1, l1 + 1):
                     for m2 in range(-l2, l2 + 1):
                         if abs(m1 + m2) > min(L, Lp):
                             continue
                         a = clebsch_gordan(l1, m1, l2, m2, L, m1 + m2)
                         b = clebsch_gordan(l1, m1, l2, m2, Lp, m1 + m2)
-                        prod = CoeffSum.from_atom(a).mul(CoeffSum.from_atom(b))
-                        total = total.add(prod)
+                        prods.append(atom_mul(a, b))
+                total = CoeffSum.from_atoms(prods)
                 if L == Lp:
-                    assert total == SUM_ONE.scale(Fraction(2 * L + 1))
+                    assert total == CoeffSum.from_atoms([atom(Fraction(2 * L + 1))])
                 else:
-                    assert total == SUM_ZERO
+                    assert total == CoeffSum.from_atoms([])
 
     def test_cg_float_matches_exact(self):
         for args in [(1, 0, 1, 0, 2, 0), (2, 1, 2, -1, 1, 0), (3, 2, 2, -1, 1, 1)]:
