@@ -121,7 +121,8 @@ def _load_corpus(path) -> list:
     exchange-symmetry arguments, and constant cross-ratios (see the notes), and
     every stored value is oracle-verified on regeneration.  Raises
     CorpusFileError naming the line of an entry that is not an object with a
-    string id, a string expr and an object expected.
+    string id, a string expr and an object expected, or if the file has no
+    entries.
     """
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -140,6 +141,8 @@ def _load_corpus(path) -> list:
                     raise CorpusFileError(
                         f"corpus file line {n}: '{key}' must be {what}")
             entries.append(entry)
+    if not entries:
+        raise CorpusFileError("corpus file has no entries")
     return entries
 
 

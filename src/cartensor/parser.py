@@ -7,6 +7,9 @@ Grammar (whitespace insignificant):
     coupling := "[" expr "x" expr "]" "[" INT "]"
     IDENT    := [A-Za-z][A-Za-z0-9_]*
 
+The separator may touch the factor after it: "...)xY[1](b)" reads as
+"...) x Y[1](b)", though the lexer takes "xY" for one name.
+
 Parse errors (syntax) and semantic errors (triangle-rule violations, repeated
 vector symbols) carry a source span; format_error renders the conventional
 caret diagnostic.  The result renderers produce plain text, LaTeX, and the
@@ -163,7 +166,10 @@ class _Parser:
         self.depth += 1
         left = self.parse_expr()
         sep = self._expect("NAME", "'x' between the coupled factors")
-        if sep[1] != "x":
+        if sep[1] == "xY":  # the lexer's one name for 'x' written against 'Y'
+            self.i -= 1
+            self.tokens[self.i] = ("NAME", "Y", sep[2] + 1, sep[3])
+        elif sep[1] != "x":
             raise ExprSyntaxError(f"expected 'x', got {sep[1]!r}",
                                   self.source, SourceSpan(sep[2], sep[3]))
         right = self.parse_expr()

@@ -9,10 +9,11 @@ exact Cartesian tensor polynomials:
   * an interior coupling of ranks (l1,l2)->L applies couple_even or couple_odd
     (by parity of l1+l2+L) times an exact scalar factor q or r that restores the
     normalization of the true coupled harmonics;
-  * a root coupling to L=0 contracts its two equal-rank children fully and
-    multiplies the scalar factor S, yielding the genuine scalar value (a
-    polynomial in dot products, plus one box product per term when the summed
-    harmonic degrees are odd).
+  * a root coupling to L=0 takes the same coupling sum at rank 0, the full
+    contraction of its two equal-rank children, times the scalar factor S
+    (the interior rank-0 coupling times rho(0)), yielding the genuine scalar
+    value (a polynomial in dot products, plus one box product per term when
+    the summed harmonic degrees are odd).
 
 For any root of rank L > 0 (and for a bare harmonic root), the result is the
 rescaled Cartesian tensor: the true spherical components are recovered by the
@@ -31,8 +32,8 @@ from typing import Optional, Union
 
 from .coeff import CoeffAtom, atom, atom_mul, double_factorial, factorial
 from .wigner import three_j, triangle_ok
-from .tensor import (TensorPoly, _jays, couple_even, couple_odd,
-                     harmonic_tensor, traceless_contract)
+from .tensor import (TensorPoly, _coupling_sum, _jays, couple_even, couple_odd,
+                     harmonic_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def _reduce_node(node: CouplingExpr, is_root: bool, trace: list) -> TensorPoly:
     if is_root and L == 0:
         f = s_factor(l1)
         trace.append((f"S[{l1}]", f))
-        return traceless_contract(pl, pr, l1, f)
+        return _coupling_sum(pl, pr, 0, Fraction(1), f)
     if (l1 + l2 + L) % 2 == 0:
         f = q_factor(l1, l2, L)
         trace.append((f"q[{l1},{l2},{L}]", f))

@@ -71,10 +71,10 @@ frozen once, into the normal form below.  One enumerator, _placements, lists
 the slot placements of the brace {core delta^r}, for the embedding and for a
 harmonic leaf.  A leaf needs neither contraction nor relabelling: each
 placement of {v^(l-2r) delta^r} is already a canonical structure, and its
-terms are frozen once.  The public traceless_contract (a rank-0 root),
-contract_slots and symmetrized_embed each thaw their arguments and freeze
-their result around the same raw core; the last two have no caller in the
-package and stay because the benchmark's tracer wraps them by name.
+terms are frozen once.  The public contract_slots and symmetrized_embed
+each thaw their arguments and freeze their result around the same raw core;
+they have no caller in the package and stay because the benchmark's tracer
+wraps them by name.
 Embedding relabels without bonds, so it goes straight to the canonical form.
 
 A TensorPoly is that form frozen, (rank, prefactor, den, groups), with groups
@@ -100,15 +100,18 @@ The three higher-level constructions are:
 Both couplings are one sum over r of the contraction of A and B on k+r slot
 pairs (for odd parity with an epsilon hooked to one free slot of each),
 symmetrized with r deltas; both normalizations, kappa_even and odd_norm, are
-closed-form factorial ratios in J = l1+l2+l3 and Ji = J-2li-1.
+closed-form factorial ratios in J = l1+l2+l3 and Ji = J-2li-1.  A root
+coupling to rank 0 is the same sum, _coupling_sum, at l3 = 0: k = l1 = l2
+and the r = 0 term alone, one full contraction, with its own constant in
+place of the normalization.
 
 Wherever both factors of a contraction are symmetric traceless (the children
-of a coupling node), traceless_contract and each coupling node prune through
-one helper before the product loop: a term whose delta joins two contracted
-slots meets a trace of the other factor and so sums to exactly zero over it.
-The rule holds for one side at a time only, since it relies on the other side
-keeping all its terms; contract_slots never prunes, as it also serves non-STF
-factors.
+of a coupling node), the coupling sum prunes through one helper,
+_traceless_raw, before the product loop: a term whose delta joins two
+contracted slots meets a trace of the other factor and so sums to exactly zero
+over it.  The rule holds for one side at a time only, since it relies on the
+other side keeping all its terms; contract_slots never prunes, as it also
+serves non-STF factors.
 """
 
 from __future__ import annotations
@@ -294,19 +297,17 @@ def _from_numerators(rank: int, den: int, acc: dict,
         for struct, monos in groups]))
 
 
-def _relabel(struct: tuple, m, extra=()) -> tuple | None:
+def _relabel(struct: tuple, m, extra=()) -> tuple:
     """(struct', sign): the canonical structure of struct with slot i moved to
     m[i] and the deltas extra appended, and the sign that ordering its epsilon
-    gives; None if a repeated epsilon entry annihilates it.  There are no
-    bonds, so nothing needs resolving."""
+    gives.  m is injective (a slot placement or a permutation), so the
+    epsilon keeps three distinct entries.  There are no bonds, so nothing
+    needs resolving."""
     vecs, deltas, epses, boxes = struct
     eps = _eps_like(epses, boxes, lambda i: ('f', m[i]))
     sign = 1
     if eps:
-        canon = _canonical_eps(eps[0])
-        if canon is None:
-            return None
-        epses, boxes, sign = canon
+        epses, boxes, sign = _canonical_eps(eps[0])
     deltas = [(m[i], m[j]) for i, j in deltas] + list(extra)
     return (tuple(sorted([(s, m[i]) for s, i in vecs], key=_by_slot)),
             tuple(sorted([(i, j) if i < j else (j, i) for i, j in deltas])),
@@ -642,15 +643,6 @@ def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
     return _contract_raw(a, b, pairs)
 
 
-def traceless_contract(A: TensorPoly, B: TensorPoly, k: int,
-                       scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
-    """The last k slots of A contracted with the first k of B, times the atom
-    scale, for symmetric traceless A and B (a precondition), minus the products
-    that sum to zero (_traceless_raw)."""
-    return _from_numerators(*_traceless_raw(_thaw(A), _thaw(B), k),
-                            _product_factor(A, B, scale))
-
-
 # ---------------------------------------------------------------------------
 # Symmetrized embedding  { core * delta^r }
 # ---------------------------------------------------------------------------
@@ -695,9 +687,8 @@ def _embed_into(acc: dict, core: tuple, group_sizes, r: int, weight: int) -> Non
     structs = [(struct, tuple(nums.items())) for struct, nums in core[2].items()]
     for m, pairs in _placements(core[0] + 2 * r, group_sizes, r):
         for struct, monos in structs:
-            moved = _relabel(struct, m, pairs)
-            if moved is not None:
-                _merge(acc, moved[0], monos, weight * moved[1])
+            moved, sign = _relabel(struct, m, pairs)
+            _merge(acc, moved, monos, weight * sign)
 
 
 def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
@@ -842,8 +833,5 @@ def couple_odd(A: TensorPoly, B: TensorPoly, l3: int,
                scale: CoeffAtom = ATOM_ONE) -> TensorPoly:
     """Odd-parity (epsilon-bearing) coupling of symmetric traceless tensors,
     times the atom scale."""
-    if l3 == 0:
-        raise ValueError(
-            "odd coupling to rank 0 is impossible (parity): use couple_even")
     _check_triple(A.rank, B.rank, l3, 1)
     return _coupling_sum(A, B, l3, odd_norm(A.rank, B.rank, l3), scale)

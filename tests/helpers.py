@@ -3,8 +3,9 @@
 The package keeps only what reduce, verify, the CLI and the benchmark call;
 the exact API that only the tests call lives here:
   * term_atom(poly, t), a term's exact coefficient, and to_float(a);
-  * contract(p1, p2, k) and poly_permute_slots(p, perm), thaw/freeze
-    wrappers over the engine's raw core;
+  * contract(p1, p2, k), traceless_contract(A, B, k) and
+    poly_permute_slots(p, perm), thaw/freeze wrappers over the engine's raw
+    core;
   * clebsch_gordan, the exact Clebsch-Gordan reference built on the Racah
     3j sum, and rho(l), the exact bridge constant that oracle.rho_float
     computes in floats.
@@ -30,8 +31,9 @@ import numpy as np
 from cartensor.coeff import (ATOM_ONE, ATOM_ZERO, CoeffAtom, atom, atom_mul,
                             atom_to_json, double_factorial, factorial)
 from cartensor.tensor import (TensorPoly, TensorTerm, _bonds, _from_numerators, _merge,
-                              _relabel, contract_slots, harmonic_tensor, poly_add,
-                              poly_scale, symmetrized_embed, traceless_contract)
+                              _product_factor, _relabel, _thaw, _traceless_raw,
+                              contract_slots, harmonic_tensor, poly_add, poly_scale,
+                              symmetrized_embed)
 from cartensor.oracle import DEFAULT_SEED, eval_expr_components, sample_unit_vectors
 from cartensor.parser import _atom, _slot
 from cartensor.reduce import Couple, Harmonic
@@ -59,6 +61,13 @@ def contract(p1: TensorPoly, p2: TensorPoly, k: int) -> TensorPoly:
     return contract_slots(p1, p2, _bonds(p1.rank, p2.rank, k))
 
 
+def traceless_contract(A: TensorPoly, B: TensorPoly, k: int) -> TensorPoly:
+    """The last k slots of A contracted with the first k of B, for symmetric
+    traceless A and B, without the products that sum to zero."""
+    return _from_numerators(*_traceless_raw(_thaw(A), _thaw(B), k),
+                            _product_factor(A, B, ATOM_ONE))
+
+
 def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
     """Relabel free slots: slot i -> perm[i].  perm is a sequence or mapping,
     and a permutation of range(p.rank)."""
@@ -71,9 +80,8 @@ def poly_permute_slots(p: TensorPoly, perm) -> TensorPoly:
         raise ValueError(f"{perm!r} is not a permutation of the {rank} slots")
     acc: dict = {}
     for struct, monos in p.groups:
-        moved = _relabel(struct, m)
-        if moved is not None:
-            _merge(acc, moved[0], monos, moved[1])
+        moved, sign = _relabel(struct, m)
+        _merge(acc, moved, monos, sign)
     return _from_numerators(rank, p.den, acc, p.prefactor)
 
 

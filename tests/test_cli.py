@@ -337,6 +337,15 @@ class TestCorpus:
         assert err.startswith(f"error: corpus file line 4: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_file_without_entries_exit_2(self, capsys, tmp_path, text):
+        target = tmp_path / "empty.jsonl"
+        target.write_text(text)
+        code, out, err = run(capsys, "corpus", "--file", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: corpus file has no entries")
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "corpus", "--check",
                            "--file", str(tmp_path / "nope.jsonl"))

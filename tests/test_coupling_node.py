@@ -17,9 +17,9 @@ from cartensor import parse, reduce_expr, tensor
 from cartensor.coeff import ATOM_ONE, atom
 from cartensor.reduce import Couple, Harmonic, q_factor, r_factor
 from cartensor.tensor import (couple_even, couple_odd, embed_count, harmonic_tensor,
-                              kappa_even, odd_norm, symmetrized_embed, traceless_contract)
+                              kappa_even, odd_norm, symmetrized_embed)
 
-from helpers import reference_coupling_sum
+from helpers import reference_coupling_sum, traceless_contract
 
 TRIPLES = [(l1, l2, l3) for l1 in range(5) for l2 in range(5)
            for l3 in range(abs(l1 - l2), l1 + l2 + 1)]

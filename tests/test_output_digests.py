@@ -9,7 +9,9 @@ side sharing slot signatures, and three degree-4 pairs whose coupling node
 sums several r pieces into a rank-4 to rank-8 root (one of them odd, through
 the epsilon hook), which the benchmark sets do not reach.  A change that
 alters any output byte fails here and names the coupling.  Each of these
-reductions also survives a round trip through the engine's raw form.
+reductions also survives a round trip through the engine's raw form, and each
+rank-0 root among them equals the interior rank-0 coupling of its children
+times rho(0).
 """
 
 import hashlib
@@ -19,7 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from cartensor import parse, reduce_expr, render_json, render_latex, render_text, tensor
+from cartensor import parse, reduce, reduce_expr, render_json, render_latex, render_text, tensor
+from cartensor.reduce import Couple, q_factor
+from cartensor.tensor import couple_even, poly_scale
+
+from helpers import rho
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "output_digests.json")
                      .read_text(encoding="utf-8"))
@@ -81,3 +87,20 @@ def test_raw_form_round_trip(expr):
     """Thawing to {struct: {dots: numerator}} and freezing gives p back."""
     p = reduce_expr(parse(expr)).poly
     assert tensor._from_numerators(*tensor._thaw(p), p.prefactor) == p
+
+
+def test_root_is_the_interior_rank0_coupling_times_rho0():
+    """S[l] times the full contraction of a root's two rank-l children is
+    q[l,l,0] times their couple_even to rank 0, times rho(0) = 1/(2 sqrt(pi)):
+    the root's constant against the interior one and kappa_even, at each of
+    the 37 rank-0 roots above."""
+    roots = {expr: parse(expr) for expr in [e["expr"] for e in DIGESTS] + list(PROBES)}
+    roots = {expr: root for expr, root in roots.items()
+             if isinstance(root, Couple) and root.L == 0}
+    assert len(roots) == 37
+    for expr, root in roots.items():
+        pl = reduce._reduce_node(root.left, False, [])
+        pr = reduce._reduce_node(root.right, False, [])
+        l = pl.rank
+        want = poly_scale(couple_even(pl, pr, 0, q_factor(l, l, 0)), rho(0))
+        assert reduce_expr(root).poly == want, f"root constant of {expr} off"

@@ -51,6 +51,12 @@ class TestParse:
         assert parse(" [ Y[1](a)  x  Y[1](b) ][ 0 ] ") == \
             parse("[Y[1](a) x Y[1](b)][0]")
 
+    def test_separator_touching_y(self):
+        e = parse("[Y[1](a)xY[1](b)][0]")
+        assert e == parse("[Y[1](a) x Y[1](b)][0]")
+        assert e.right.span == parser.SourceSpan(9, 16)
+        assert parse("Y[1](xY)") == Harmonic(1, "xY")
+
     def test_round_trip(self):
         for src in [
             "Y[0](a)",
@@ -75,6 +81,13 @@ class TestErrors:
         assert msg == ("error: expected '(' before the vector name\n"
                        "  Y[2]\n"
                        "      ^")
+
+    def test_separator_touching_other_name(self):
+        with pytest.raises(ExprSyntaxError) as ei:
+            parse("[Y[1](a)xZ[1](b)][0]")
+        assert format_error(ei.value) == ("error: expected 'x', got 'xZ'\n"
+                                          "  [Y[1](a)xZ[1](b)][0]\n"
+                                          "          ^^")
 
     def test_trailing_input(self):
         with pytest.raises(ExprSyntaxError) as ei:

@@ -22,10 +22,10 @@ from cartensor.reduce import (
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import harmonic_tensor, poly_scale, traceless_contract
+from cartensor.tensor import harmonic_tensor, poly_scale
 
 from helpers import (contract, cross_vector, poly_sub, reduce_pair_identities, rho,
-                     term_atom)
+                     term_atom, traceless_contract)
 
 
 def _exact(a, rat, radicand=1, pi_half=0):

@@ -479,9 +479,10 @@ class TestOddCoupling:
             perm[i], perm[i + 1] = perm[i + 1], perm[i]
             assert poly_sub(p, poly_permute_slots(p, tuple(perm))).is_zero
 
-    def test_parity_mismatch_rejected(self):
+    @pytest.mark.parametrize("l1,l2,l3", [(1, 1, 2), (2, 2, 0)])
+    def test_parity_mismatch_rejected(self, l1, l2, l3):
         with pytest.raises(ValueError):
-            couple_odd(harmonic_tensor('a', 1), harmonic_tensor('b', 1), 2)
+            couple_odd(harmonic_tensor('a', l1), harmonic_tensor('b', l2), l3)
 
 
 class TestContractions:
