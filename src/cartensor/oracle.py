@@ -30,6 +30,7 @@ projects to zero and is skipped.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -59,7 +60,7 @@ def sample_unit_vectors(seed: int, n: int, symbols) -> dict:
     near-zero row i is drawn again from the child keyed (j, i), so a redraw
     keeps that too: the first n rows of a larger call equal a call with n.
     """
-    seed, out = int(seed), {}
+    seed, out = _seed(seed), {}
     for j, s in enumerate(sorted(symbols)):
         v = _stream(seed, j).normal(size=(n, 3))
         for i in np.flatnonzero(np.linalg.norm(v, axis=1) < 1e-8):
@@ -68,6 +69,18 @@ def sample_unit_vectors(seed: int, n: int, symbols) -> dict:
                 v[i] = rng.normal(size=3)
         out[s] = v / np.linalg.norm(v, axis=1, keepdims=True)
     return out
+
+
+def _seed(seed) -> int:
+    """seed as an int, read with operator.index, so a float or a string is
+    refused rather than rounded or parsed; ValueError unless it is >= 0."""
+    try:
+        value = operator.index(seed)
+        if value >= 0:
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -363,7 +376,8 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
     the largest absolute error, and for a scalar the largest imaginary leak,
     is at most tol * min(1, scale), scale being the largest |spherical value|:
     an absolute bound at magnitude 1 and above, a relative one below it.  tol
-    must be finite and greater than 0, and n_samples from 1 to MAX_SAMPLES."""
+    must be finite and greater than 0, n_samples from 1 to MAX_SAMPLES, and
+    seed an integer >= 0: an int, or any integer type such as numpy's."""
     from .parser import parse, render_expr_text
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -371,15 +385,13 @@ def verify(expr, n_samples: int = 200, tol: float = 1e-10,
         raise ValueError(f"n_samples must be at most {MAX_SAMPLES}, got {n_samples}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and greater than 0, got {tol}")
+    seed = DEFAULT_SEED if seed is None else _seed(seed)
     if isinstance(expr, str):
         expr = parse(expr)
     if result is None:
         result = reduce_expr(expr)
     elif result.expr != expr:
         raise ValueError("result is the reduction of a different expression")
-    if seed is None:
-        seed = DEFAULT_SEED
-    seed = int(seed)
     syms = sorted({leaf.v for leaf in expr_leaves(expr)})
     vecs = sample_unit_vectors(seed, n_samples, syms)
     S = eval_expr_components(expr, vecs)

@@ -11,14 +11,16 @@ denominator.  Each monomial is a product of
 
 All vectors are unit vectors, so (v.v) = 1 and never appears.  Contraction is
 exact and resolves its bonds once per pair of slot signatures, not once per
-pair of terms.  contract_slots reads each term of each factor once: the
-factors on surviving slots, already relabelled to output slots, and its
-signature, the occupant of every contracted slot (a vector symbol, the other
-end of a delta, or an epsilon position) plus its epsilon-like factor.  Terms
-with one signature differ only in what the bonds never touch, so each side is
-grouped by signature, and each pair of signatures walks every chain of bonds
-once, across both sides, through the deltas that join two contracted slots,
-to its two ends, and fuses them:
+pair of terms; between symmetric traceless factors, once per orbit of one
+side's signatures under permutations of the contracted slots (see the end).
+contract_slots reads each term of each factor once: the factors on surviving
+slots, already relabelled to output slots, and its signature, the occupant of
+every contracted slot (a vector symbol, the other end of a delta, or an
+epsilon position) plus its epsilon-like factor.  Terms with one signature
+differ only in what the bonds never touch, so each side is grouped by
+signature, and each pair of signatures walks every chain of bonds once,
+across both sides, through the deltas that join two contracted slots, to its
+two ends, and fuses them:
 
     vec.vec -> dot      vec.free -> vec      free.free -> delta
     closed delta loop -> factor 3 (a trace)
@@ -112,6 +114,22 @@ contracted slots meets a trace of the other factor and so sums to exactly zero
 over it.  The rule holds for one side at a time only, since it relies on the
 other side keeping all its terms; contract_slots never prunes, as it also
 serves non-STF factors.
+
+On k >= 2 contracted slots _traceless_raw also merges one side's structures
+by orbit.  Each factor's terms, sums over every slot placement, are closed
+under the permutations sigma of its contracted slots, and pruning drops a
+closed subset, so they stay closed.  Renumbering the bonds of both sides at
+once changes no product, so for a term t of one side, summed over the terms u
+of the other, (sigma t).u sums to the same as t.(sigma^-1 u), which is t.u
+over the closed other side: every member of an orbit of structures gives the
+same total.  That side keeps one signature per orbit (_orbit_signature), with
+its members' numerators summed, and resolves once per orbit: [Y[6](a) x
+Y[6](b)][0] resolves its 4 = l//2 + 1 pairs of signatures, not 76.  The
+argument needs the other side closed under sigma, which a merged side is not,
+so only one side is merged: merging both would resolve one relative placement
+of two orbits where the sum needs every one.  contract_slots never merges, as
+its factors need not be symmetric, nor does the odd-parity epsilon hook, whose
+epsilon is antisymmetric in its two hooked slots.
 """
 
 from __future__ import annotations
@@ -378,12 +396,37 @@ def _split(struct: tuple, where: list, nb: int) -> tuple:
     return tuple(vecs), tuple(deltas), (tuple(occ), tuple(map(tuple, eps)))
 
 
-def _group(raw: dict, where: list, nb: int, syms: set) -> tuple:
+def _orbit_signature(sig: tuple) -> tuple:
+    """The signature of one fixed member of sig's orbit under permutations of
+    the contracted slots: bonds renumbered so that first come those whose slot
+    holds a vector, a free-slot delta end or an epsilon position, sorted by
+    that occupant, then the bonds joined in pairs by inner deltas, pair by
+    pair; every ('b', bond) reference, in occ and in the epsilon-like factor,
+    is renumbered to match.  Members of one orbit, and only they, share it."""
+    occ, eps = sig
+    order = sorted([b for b, o in enumerate(occ) if o[0] != 'b'], key=occ.__getitem__)
+    order += [c for b, o in enumerate(occ) if o[0] == 'b' and b < o[1] for c in (b, o[1])]
+    new = [0] * len(occ)
+    for n, b in enumerate(order):
+        new[b] = n
+    occ = [occ[b] for b in order]
+    return (tuple([('b', new[o[1]]) if o[0] == 'b' else o for o in occ]),
+            tuple([tuple([('b', new[e[1]]) if e[0] == 'b' else e for e in ep])
+                   for ep in eps]))
+
+
+def _group(raw: dict, where: list, nb: int, syms: set, orbit: bool) -> tuple:
     """(groups, top) for one contraction factor, {struct: {dots: numerator}}:
     its structures read by _split and grouped by signature, {signature:
-    [(vecs, deltas, {dots: numerator}), ...]}, and the largest dot exponent
-    among its terms.  Every symbol that can end up in a dot of the product is
-    added to syms."""
+    {(vecs, deltas): {dots: numerator}}}, and the largest dot exponent among
+    its terms.  Every symbol that can end up in a dot of the product is added
+    to syms.
+
+    With orbit, each signature is replaced by _orbit_signature's, and the
+    structures that then share (vecs, deltas, signature), the members of one
+    orbit, become one entry with their numerators summed.  That is exact
+    only when the other factor's terms are closed under permutations of the
+    contracted slots (see _traceless_raw)."""
     groups: dict = {}
     top = 0
     for struct, nums in raw.items():
@@ -396,8 +439,18 @@ def _group(raw: dict, where: list, nb: int, syms: set) -> tuple:
                     top = e
         g = groups.get(sig)
         if g is None:
-            groups[sig] = g = []
-        g.append((vecs, deltas, nums))
+            groups[sig] = g = {}
+        g[vecs, deltas] = nums
+    if orbit:
+        merged: dict = {}
+        for sig, g in groups.items():
+            sig = _orbit_signature(sig)
+            m = merged.get(sig)
+            if m is None:
+                merged[sig] = m = {}
+            for key, nums in g.items():
+                _merge(m, key, nums.items(), 1)
+        groups = merged
     for occ, eps in groups:
         syms.update([o[1] for o in occ if o[0] == 's'])
         for ep in eps:
@@ -519,10 +572,15 @@ def _unpacked(acc: dict, fields: list, width: int) -> dict:
     return out
 
 
-def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
+def _contract_raw(x: tuple, y: tuple, pairs, orbit: int = 0) -> tuple:
     """The raw contraction of raw polynomials x and y on specific slot pairs
     (i in x, j in y), over the product of their denominators.  Surviving x
-    slots come first (in order), then surviving y slots."""
+    slots come first (in order), then surviving y slots.
+
+    orbit = 1 (x) or 2 (y) names a side whose structures _group merges by
+    orbit of the contracted slots, which is exact only when the other side's
+    terms are closed under those permutations; 0, the default, merges
+    neither and reads every structure's own signature."""
     (rank1, den1, nums1), (rank2, den2, nums2) = x, y
     pairs = list(pairs)
     paired1 = {i for i, _ in pairs}
@@ -544,8 +602,8 @@ def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
         where1[i] = where2[j] = ('b', b)
     nb = len(pairs)
     syms: set = set()
-    groups1, top1 = _group(nums1, where1, nb, syms)
-    groups2, top2 = _group(nums2, where2, nb, syms)
+    groups1, top1 = _group(nums1, where1, nb, syms, orbit == 1)
+    groups2, top2 = _group(nums2, where2, nb, syms, orbit == 2)
 
     # A dot monomial is one int, a field of `width` bits per symbol pair in
     # sorted pair order.  A product adds at most one dot per bond chain and
@@ -559,7 +617,7 @@ def _contract_raw(x: tuple, y: tuple, pairs) -> tuple:
         return [(sig, [(vecs, deltas,
                         [(num, sum([e * unit[s1, s2] for s1, s2, e in dots]))
                          for dots, num in nums.items()])
-                       for vecs, deltas, nums in g])
+                       for (vecs, deltas), nums in g.items()])
                 for sig, g in groups.items()]
 
     side2 = packed(groups2)
@@ -629,7 +687,15 @@ def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
     that removes more products (b on a tie): dropping b's terms relies on a
     being whole, and vice versa, so pruning both is wrong (Y[2](a).Y[2](b)
     would lose its -3/4 term).  The delta test reads each structure once; the
-    side is chosen by term counts."""
+    side is chosen by term counts.
+
+    For k >= 2 the side left with more structures (a on a tie) is then merged
+    by orbit of its contracted slots (_group), exact because the other side,
+    pruned or whole, is closed under those permutations; a merged side is
+    not, so merging both sides is wrong, as pruning both is.  The larger side
+    has the most structures to fold: [Y[6](a) x Y[7](b)][1] merges b's 232
+    into 7 orbits against a's one pruned structure, and merging there is
+    faster than resolving each of the 232 against that one."""
     (rank1, den1, raw1), (rank2, den2, raw2) = a, b
     pairs = _bonds(rank1, rank2, k)
     lo = rank1 - k
@@ -640,7 +706,10 @@ def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
         b = (rank2, den2, keep_b)
     else:
         a = (rank1, den1, keep_a)
-    return _contract_raw(a, b, pairs)
+    orbit = 0
+    if k >= 2:
+        orbit = 1 if len(a[2]) >= len(b[2]) else 2
+    return _contract_raw(a, b, pairs, orbit)
 
 
 # ---------------------------------------------------------------------------

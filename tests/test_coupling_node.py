@@ -164,3 +164,34 @@ def test_coupling_node_relabels_once_per_structure_and_distribution(relabels):
     relabels.clear()
     couple_even(A, B, l3)
     assert len(relabels) == want
+
+
+@pytest.fixture
+def resolves(monkeypatch):
+    """A list that records each tensor._resolve call."""
+    calls = []
+    resolve = tensor._resolve
+
+    def counted(sig1, sig2, nb):
+        calls.append(nb)
+        return resolve(sig1, sig2, nb)
+
+    monkeypatch.setattr(tensor, "_resolve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("l", range(2, 9))
+def test_full_contraction_resolves_once_per_orbit(resolves, l):
+    """[Y[l](a) x Y[l](b)][0] keeps b's one unpruned structure and merges a's
+    structures into one orbit per delta count, so it resolves l//2 + 1
+    signature pairs, not one per structure of a."""
+    reduce_expr(parse(f"[Y[{l}](a) x Y[{l}](b)][0]"))
+    assert len(resolves) == l // 2 + 1
+
+
+def test_rank_one_coupling_resolves_few_signature_pairs(resolves):
+    """[Y[6](a) x Y[6](b)][1] resolves 6 orbits of a against 6 pruned
+    structures of b, and the epsilon hook's 5: 41 pairs, against 461 when
+    every structure of a resolves on its own."""
+    reduce_expr(parse("[Y[6](a) x Y[6](b)][1]"))
+    assert len(resolves) <= 60

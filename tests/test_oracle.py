@@ -323,6 +323,19 @@ class TestVerify:
         with pytest.raises(ValueError, match="tol must be finite and greater than 0"):
             verify("Y[1](a)", 5, tol=tol)
 
+    @pytest.mark.parametrize("seed", [1.5, "7", -1])
+    def test_seed_outside_domain_rejected(self, seed):
+        """A float is not rounded into another seed, nor a string parsed."""
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            verify("Y[1](a)", 5, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            sample_unit_vectors(seed, 5, ["a"])
+
+    def test_numpy_integer_seed_accepted(self):
+        rep = verify("Y[1](a)", 5, seed=np.int64(7))
+        assert rep.to_json() == verify("Y[1](a)", 5, seed=7).to_json()
+        assert type(rep.seed) is int
+
     @pytest.mark.parametrize("depth", [20, 30])
     @pytest.mark.parametrize("rank", [0, 1])
     def test_tiny_values_are_checked_relative(self, rank, depth):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from cartensor import reduce
+from cartensor import reduce, tensor
 from cartensor.coeff import atom, atom_canonical, atom_mul
 from cartensor.oracle import verify
 from cartensor.reduce import (
@@ -22,7 +22,7 @@ from cartensor.reduce import (
     s_factor,
     validate_expr,
 )
-from cartensor.tensor import harmonic_tensor, poly_scale
+from cartensor.tensor import couple_even, couple_odd, harmonic_tensor, poly_scale
 
 from helpers import (contract, cross_vector, poly_sub, reduce_pair_identities, rho,
                      term_atom, traceless_contract)
@@ -255,6 +255,74 @@ def test_traceless_contract_equals_contract(data):
     A, B = reduce_expr(left).poly, reduce_expr(right).poly
     for k in range(min(A.rank, B.rank) + 1):
         assert traceless_contract(A, B, k) == contract(A, B, k)
+
+
+@pytest.fixture
+def merged_sides(monkeypatch):
+    """A list that records the orbit argument of each tensor._contract_raw
+    call: the side whose structures were merged by orbit, or 0."""
+    calls = []
+    contract_raw = tensor._contract_raw
+
+    def recorded(x, y, pairs, orbit=0):
+        calls.append(orbit)
+        return contract_raw(x, y, pairs, orbit)
+
+    monkeypatch.setattr(tensor, "_contract_raw", recorded)
+    return calls
+
+
+def _merged_exactly(A, B, k, side, calls) -> bool:
+    """traceless_contract(A, B, k), with side merged by orbit, equals the
+    contraction that neither prunes nor merges."""
+    calls.clear()
+    merged = traceless_contract(A, B, k)
+    assert calls == [side]
+    pruned_nothing = contract(A, B, k)
+    assert calls == [side, 0]
+    return merged == pruned_nothing
+
+
+@pytest.mark.parametrize("l1,l2", [(l1, l2) for l1 in range(2, 8) for l2 in range(2, 8)])
+def test_orbit_merge_is_exact_on_harmonic_pairs(merged_sides, l1, l2):
+    """Merging the larger side's structures by orbit of the k >= 2 contracted
+    slots changes no contraction of two leaves, whose contracted slots carry
+    vectors and inner deltas."""
+    A, B = harmonic_tensor('a', l1), harmonic_tensor('b', l2)
+    for k in range(2, min(l1, l2) + 1):
+        assert _merged_exactly(A, B, k, 1 if l1 >= l2 else 2, merged_sides)
+
+
+def _eps_on_contracted_slot(P, slots) -> bool:
+    return any(e[0] == 'f' and e[1] in slots
+               for (_, _, epses, _), _ in P.groups for ep in epses for e in ep)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+@pytest.mark.parametrize("odd_first", [True, False])
+def test_orbit_merge_is_exact_on_an_odd_node(merged_sides, l, odd_first):
+    """An odd node merged by orbit: its epsilon sits on a contracted slot, so
+    the orbit signature renumbers bonds inside the epsilon too."""
+    odd, leaf = couple_odd(harmonic_tensor('a', 2), harmonic_tensor('b', 3), 4), \
+        harmonic_tensor('c', l)
+    for k in range(2, min(l, 4) + 1):
+        slots = range(4 - k, 4) if odd_first else range(k)
+        assert _eps_on_contracted_slot(odd, slots)
+        A, B = (odd, leaf) if odd_first else (leaf, odd)
+        assert _merged_exactly(A, B, k, 1 if odd_first else 2, merged_sides)
+
+
+@pytest.mark.parametrize("node_first", [True, False])
+@pytest.mark.parametrize("odd,l", [(False, 4), (False, 5), (True, 5)])
+def test_orbit_merge_is_exact_on_a_leaf_with_inner_deltas(merged_sides, odd, l, node_first):
+    """A degree >= 4 leaf merged by orbit against a rank-3 node: its deltas
+    that join two contracted slots are renumbered pair by pair."""
+    a, b = harmonic_tensor('a', 1 + odd), harmonic_tensor('b', 2)
+    node = couple_odd(a, b, 3) if odd else couple_even(a, b, 3)
+    leaf = harmonic_tensor('c', l)
+    for k in (2, 3):
+        A, B = (node, leaf) if node_first else (leaf, node)
+        assert _merged_exactly(A, B, k, 2 if node_first else 1, merged_sides)
 
 
 # ---------------------------------------------------------------------------
