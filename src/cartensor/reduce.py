@@ -32,8 +32,11 @@ from typing import Optional, Union
 
 from .coeff import CoeffAtom, atom, atom_mul, double_factorial, factorial
 from .wigner import three_j, triangle_ok
-from .tensor import (TensorPoly, _coupling_sum, _jays, couple_even, couple_odd,
-                     harmonic_tensor)
+from .tensor import (MAX_LEAF_TERMS, TensorPoly, _coupling_sum, _jays, couple_even,
+                     couple_odd, harmonic_tensor, leaf_error, leaf_too_large)
+
+# The leaf bound validate_expr applies stays readable here as well:
+# MAX_LEAF_TERMS and leaf_too_large.
 
 
 # ---------------------------------------------------------------------------
@@ -81,28 +84,6 @@ class InvalidExpr(ValueError):
         self.node = node
 
 
-# The most terms a leaf's harmonic tensor may expand to: Y[10] (9496 terms)
-# fits, Y[11] (35696) does not.  Past it, reduction runs for minutes or more.
-MAX_LEAF_TERMS = 10_000
-
-
-def leaf_too_large(l: int) -> bool:
-    """Whether harmonic_tensor(v, l) has more than MAX_LEAF_TERMS terms.
-
-    harmonic_tensor builds one term per slot placement of {v^(l-2r) delta^r},
-    so it has T(l) = sum over r of embed_count(l, (l-2r,), r) terms, the
-    partial matchings (involutions) of the l slots.  They obey T(l) = T(l-1)
-    + (l-1) T(l-2), T(0) = T(1) = 1, as the last slot is unmatched or paired
-    with one of the other l-1; the recurrence stops as soon as it passes the
-    bound, so a huge l costs a dozen steps."""
-    prev, cur = 1, 1
-    for n in range(2, l + 1):
-        prev, cur = cur, cur + (n - 1) * prev
-        if cur > MAX_LEAF_TERMS:
-            return True
-    return False
-
-
 def validate_expr(expr: CouplingExpr) -> None:
     """Raise InvalidExpr on any triangle violation, repeated vector symbol or
     leaf too large to expand.
@@ -111,12 +92,9 @@ def validate_expr(expr: CouplingExpr) -> None:
     the coupling whose ranks break the triangle rule."""
     seen = set()
     for leaf in expr_leaves(expr):
-        if leaf.l < 0:
-            raise InvalidExpr(f"negative harmonic degree {leaf.l}", leaf)
-        if leaf_too_large(leaf.l):
-            raise InvalidExpr(
-                f"harmonic degree {leaf.l} too large: Y[{leaf.l}] expands to "
-                f"more than {MAX_LEAF_TERMS} terms", leaf)
+        error = leaf_error(leaf.l)
+        if error:
+            raise InvalidExpr(error, leaf)
         if leaf.v in seen:
             raise InvalidExpr(f"vector symbol '{leaf.v}' used more than once", leaf)
         seen.add(leaf.v)

@@ -68,7 +68,7 @@ once, and int numerators flow through its whole sum over r: each contraction
 writes a raw result (denominator: the product of its sides'), the odd-parity
 epsilon hook contracts that raw result, and the embedding relabels each
 structure, once per slot placement, straight into the node's one accumulator
-with the weight of its r (denominator: the lcm over r).  The node is then
+with the int weight of its r (denominator: (2l3-1)!!).  The node is then
 frozen once, into the normal form below.  One enumerator, _placements, lists
 the slot placements of the brace {core delta^r}, for the embedding and for a
 harmonic leaf.  A leaf needs neither contraction nor relabelling: each
@@ -108,28 +108,28 @@ and the r = 0 term alone, one full contraction, with its own constant in
 place of the normalization.
 
 Wherever both factors of a contraction are symmetric traceless (the children
-of a coupling node), the coupling sum prunes through one helper,
-_traceless_raw, before the product loop: a term whose delta joins two
-contracted slots meets a trace of the other factor and so sums to exactly zero
-over it.  The rule holds for one side at a time only, since it relies on the
-other side keeping all its terms; contract_slots never prunes, as it also
-serves non-STF factors.
-
-On k >= 2 contracted slots _traceless_raw also merges one side's structures
-by orbit.  Each factor's terms, sums over every slot placement, are closed
-under the permutations sigma of its contracted slots, and pruning drops a
-closed subset, so they stay closed.  Renumbering the bonds of both sides at
-once changes no product, so for a term t of one side, summed over the terms u
-of the other, (sigma t).u sums to the same as t.(sigma^-1 u), which is t.u
-over the closed other side: every member of an orbit of structures gives the
-same total.  That side keeps one signature per orbit (_orbit_signature), with
-its members' numerators summed, and resolves once per orbit: [Y[6](a) x
-Y[6](b)][0] resolves its 4 = l//2 + 1 pairs of signatures, not 76.  The
-argument needs the other side closed under sigma, which a merged side is not,
-so only one side is merged: merging both would resolve one relative placement
-of two orbits where the sum needs every one.  contract_slots never merges, as
-its factors need not be symmetric, nor does the odd-parity epsilon hook, whose
-epsilon is antisymmetric in its two hooked slots.
+of a coupling node), _traceless_raw makes one choice: on k >= 2 contracted
+slots, the factor with more structures (a on a tie) is merged by orbit and the
+other factor's traces are dropped (_group).  Two facts of the brace algebra
+make that exact.  A term whose delta joins two contracted slots meets a trace
+of the other factor, so summed over that factor's terms it gives exactly zero,
+provided that factor is whole.  And each factor's terms, sums over every slot
+placement, are closed under the permutations sigma of its contracted slots;
+renumbering the bonds of both sides at once changes no product, so for a term
+t of one side, summed over the terms u of the other, (sigma t).u sums to the
+same as t.(sigma^-1 u), which is t.u, provided the other side is closed: every
+member of an orbit of structures gives the same total, and the merged side
+keeps one signature per orbit (_orbit_signature), with its members' numerators
+summed.  Dropping needs the merged side whole, and merging needs the dropped
+side closed, which it stays, as its traces form a closed subset; so the two
+always act on opposite factors.  Neither acts on both: a merged side is not
+closed, and a side with its traces dropped is not whole (Y[2](a).Y[2](b) would
+lose its -3/4 term).  [Y[6](a) x Y[6](b)][0] resolves its 4 = l//2 + 1 pairs
+of signatures, not 76.  On k <= 1 no delta joins two contracted slots and no
+orbit has two members, so both factors are read whole.  contract_slots never
+merges or drops, as its factors need not be symmetric traceless, nor does the
+odd-parity epsilon hook, whose epsilon is antisymmetric in its two hooked
+slots.
 """
 
 from __future__ import annotations
@@ -250,7 +250,8 @@ def _eps_like(epses: tuple, boxes: tuple, entry) -> list:
 
 def _fuse(x, y, vecs: list, deltas: list, pairs: list, eps: list) -> bool:
     """Join x and y, the two ends of one resolved chain of contracted slots;
-    False if that annihilates the term.
+    False only for an epsilon chained back to itself, which annihilates the
+    term.
 
     An end is a vector ('s', sym), a free slot ('f', slot) or a position
     ('e', k, pos) of eps[k].  vec.vec gives a dot (v.v = 1), vec.free a
@@ -415,21 +416,25 @@ def _orbit_signature(sig: tuple) -> tuple:
                    for ep in eps]))
 
 
-def _group(raw: dict, where: list, nb: int, syms: set, orbit: bool) -> tuple:
+def _group(raw: dict, where: list, nb: int, syms: set, role: str | None) -> tuple:
     """(groups, top) for one contraction factor, {struct: {dots: numerator}}:
     its structures read by _split and grouped by signature, {signature:
     {(vecs, deltas): {dots: numerator}}}, and the largest dot exponent among
     its terms.  Every symbol that can end up in a dot of the product is added
     to syms.
 
-    With orbit, each signature is replaced by _orbit_signature's, and the
-    structures that then share (vecs, deltas, signature), the members of one
-    orbit, become one entry with their numerators summed.  That is exact
-    only when the other factor's terms are closed under permutations of the
-    contracted slots (see _traceless_raw)."""
+    role 'drop' leaves out each structure with a delta that joins two
+    contracted slots, as where tells them.  role 'merge' replaces each
+    signature by _orbit_signature's, and the structures that then share
+    (vecs, deltas, signature), the members of one orbit, become one entry with
+    their numerators summed.  None does neither.  Either role is exact only
+    when the other factor is symmetric traceless and plays the other role
+    (see the module docstring)."""
     groups: dict = {}
     top = 0
     for struct, nums in raw.items():
+        if role == 'drop' and any(where[i][0] == where[j][0] == 'b' for i, j in struct[1]):
+            continue
         vecs, deltas, sig = _split(struct, where, nb)
         for dots in nums:
             for s1, s2, e in dots:
@@ -441,7 +446,7 @@ def _group(raw: dict, where: list, nb: int, syms: set, orbit: bool) -> tuple:
         if g is None:
             groups[sig] = g = {}
         g[vecs, deltas] = nums
-    if orbit:
+    if role == 'merge':
         merged: dict = {}
         for sig, g in groups.items():
             sig = _orbit_signature(sig)
@@ -537,10 +542,9 @@ def _resolve(sig1: tuple, sig2: tuple, nb: int) -> list:
                 x = v if u == x else u
             if x[0] == 'b':
                 f *= 3
-            elif not _fuse(x, y, cvecs, cdeltas, cpairs, None):
-                break
-        else:
-            children += _child(f, cvecs, cdeltas, cpairs, None)
+            else:
+                _fuse(x, y, cvecs, cdeltas, cpairs, None)
+        children += _child(f, cvecs, cdeltas, cpairs, None)
     return children
 
 
@@ -577,10 +581,11 @@ def _contract_raw(x: tuple, y: tuple, pairs, orbit: int = 0) -> tuple:
     (i in x, j in y), over the product of their denominators.  Surviving x
     slots come first (in order), then surviving y slots.
 
-    orbit = 1 (x) or 2 (y) names a side whose structures _group merges by
-    orbit of the contracted slots, which is exact only when the other side's
-    terms are closed under those permutations; 0, the default, merges
-    neither and reads every structure's own signature."""
+    orbit = 1 (x) or 2 (y) names the side whose structures _group merges by
+    orbit of the contracted slots; the other side's structures with a delta
+    joining two contracted slots are dropped.  Both are exact only when x and
+    y are symmetric traceless (see the module docstring).  0, the default,
+    merges and drops nothing and reads every structure's own signature."""
     (rank1, den1, nums1), (rank2, den2, nums2) = x, y
     pairs = list(pairs)
     paired1 = {i for i, _ in pairs}
@@ -601,9 +606,10 @@ def _contract_raw(x: tuple, y: tuple, pairs, orbit: int = 0) -> tuple:
     for b, (i, j) in enumerate(pairs):
         where1[i] = where2[j] = ('b', b)
     nb = len(pairs)
+    roles = {0: (None, None), 1: ('merge', 'drop'), 2: ('drop', 'merge')}[orbit]
     syms: set = set()
-    groups1, top1 = _group(nums1, where1, nb, syms, orbit == 1)
-    groups2, top2 = _group(nums2, where2, nb, syms, orbit == 2)
+    groups1, top1 = _group(nums1, where1, nb, syms, roles[0])
+    groups2, top2 = _group(nums2, where2, nb, syms, roles[1])
 
     # A dot monomial is one int, a field of `width` bits per symbol pair in
     # sorted pair order.  A product adds at most one dot per bond chain and
@@ -673,43 +679,18 @@ def _bonds(rank1: int, rank2: int, k: int) -> list:
     return [(rank1 - k + t, t) for t in range(k)]
 
 
-def _term_count(raw: dict) -> int:
-    return sum(map(len, raw.values()))
-
-
 def _traceless_raw(a: tuple, b: tuple, k: int) -> tuple:
     """The raw contraction of the last k slots of raw a with the first k of raw
     b, for symmetric traceless a and b, without the products that sum to zero.
 
-    A term of b with a delta joining two contracted slots meets a trace of a,
-    so summed over all of a's terms it gives exactly zero; likewise a term of
-    a with a delta inside a's last k slots.  Only one side is pruned, the one
-    that removes more products (b on a tie): dropping b's terms relies on a
-    being whole, and vice versa, so pruning both is wrong (Y[2](a).Y[2](b)
-    would lose its -3/4 term).  The delta test reads each structure once; the
-    side is chosen by term counts.
-
-    For k >= 2 the side left with more structures (a on a tie) is then merged
-    by orbit of its contracted slots (_group), exact because the other side,
-    pruned or whole, is closed under those permutations; a merged side is
-    not, so merging both sides is wrong, as pruning both is.  The larger side
-    has the most structures to fold: [Y[6](a) x Y[7](b)][1] merges b's 232
-    into 7 orbits against a's one pruned structure, and merging there is
-    faster than resolving each of the 232 against that one."""
-    (rank1, den1, raw1), (rank2, den2, raw2) = a, b
-    pairs = _bonds(rank1, rank2, k)
-    lo = rank1 - k
-    keep_a = {s: nums for s, nums in raw1.items() if not any(i >= lo for i, _ in s[1])}
-    keep_b = {s: nums for s, nums in raw2.items() if not any(j < k for _, j in s[1])}
-    n1, n2 = _term_count(raw1), _term_count(raw2)
-    if (n2 - _term_count(keep_b)) * n1 >= (n1 - _term_count(keep_a)) * n2:
-        b = (rank2, den2, keep_b)
-    else:
-        a = (rank1, den1, keep_a)
-    orbit = 0
-    if k >= 2:
-        orbit = 1 if len(a[2]) >= len(b[2]) else 2
-    return _contract_raw(a, b, pairs, orbit)
+    On k >= 2 contracted slots the factor with more structures (a on a tie)
+    is merged by orbit and the other one's traces are dropped (_contract_raw),
+    so the merge folds the most structures: [Y[6](a) x Y[7](b)][1] merges b's
+    232 into 7 orbits against a's one structure left.  On k <= 1 no delta
+    joins two contracted slots and no orbit has two members, so both factors
+    are read whole."""
+    orbit = 0 if k < 2 else 1 if len(a[2]) >= len(b[2]) else 2
+    return _contract_raw(a, b, _bonds(a[0], b[0], k), orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +764,39 @@ def symmetrized_embed(core: TensorPoly, group_sizes, r: int,
 # Harmonic (symmetric traceless) tensors
 # ---------------------------------------------------------------------------
 
+# The most terms a leaf's harmonic tensor may expand to: Y[10] (9496 terms)
+# fits, Y[11] (35696) does not.  Past it, reduction runs for minutes or more.
+MAX_LEAF_TERMS = 10_000
+
+
+def leaf_too_large(l: int) -> bool:
+    """Whether harmonic_tensor(v, l) has more than MAX_LEAF_TERMS terms.
+
+    harmonic_tensor builds one term per slot placement of {v^(l-2r) delta^r},
+    so it has T(l) = sum over r of embed_count(l, (l-2r,), r) terms, the
+    partial matchings (involutions) of the l slots.  They obey T(l) = T(l-1)
+    + (l-1) T(l-2), T(0) = T(1) = 1, as the last slot is unmatched or paired
+    with one of the other l-1; the recurrence stops as soon as it passes the
+    bound, so a huge l costs a dozen steps."""
+    prev, cur = 1, 1
+    for n in range(2, l + 1):
+        prev, cur = cur, cur + (n - 1) * prev
+        if cur > MAX_LEAF_TERMS:
+            return True
+    return False
+
+
+def leaf_error(l: int) -> str | None:
+    """Why harmonic_tensor refuses degree l, or None if it builds it: a
+    negative degree, or a leaf of more than MAX_LEAF_TERMS terms."""
+    if l < 0:
+        return f"negative harmonic degree {l}"
+    if leaf_too_large(l):
+        return (f"harmonic degree {l} too large: Y[{l}] expands to "
+                f"more than {MAX_LEAF_TERMS} terms")
+    return None
+
+
 # Bounded in entries: a cached Y[10] holds about 5.4 MiB, and one benchmark
 # round uses at most 23 (symbol, l) keys.
 @lru_cache(maxsize=64)
@@ -806,9 +820,11 @@ def harmonic_tensor(v: str, l: int) -> TensorPoly:
     vectors on the l slots, one term each (_placements).
 
     Leading coefficient (2l-1)!!/l!; full contraction with u x ... x u yields
-    the Legendre polynomial P_l(v.u)."""
-    if l < 0:
-        raise ValueError("negative rank")
+    the Legendre polynomial P_l(v.u).  Raises ValueError, with leaf_error's
+    message, for a negative l or one past the leaf bound."""
+    error = leaf_error(l)
+    if error:
+        raise ValueError(error)
     return _harmonic_cached(v, l)
 
 
@@ -866,27 +882,25 @@ def _coupling_sum(A: TensorPoly, B: TensorPoly, l3: int,
     """scale * norm * sum over r of c_r times the rank-l3 pieces of A and B for
     the parity of l1+l2+l3: A and B contracted on k+r slot pairs, for odd
     parity an epsilon hooked to one free slot of each, then r deltas
-    symmetrized in.  Every r-core has denominator A.den * B.den (_EPS3 has 1),
-    so the node's denominator is known first and each core is embedded as soon
-    as it is made.  Every step stays raw; the node is frozen once."""
+    symmetrized in.  c_r = (-2)^r (2l3-2r-1)!! / (2l3-1)!!, and every r-core
+    has denominator A.den * B.den (_EPS3 has 1), so the node's denominator,
+    (2l3-1)!! A.den B.den, is known first and each core is embedded, with the
+    int weight (-2)^r (2l3-2r-1)!!, as soon as it is made.  Every step stays
+    raw; the node is frozen once."""
     l1, l2 = A.rank, B.rank
     parity = (l1 + l2 + l3) % 2
     k = (l1 + l2 - l3 - parity) // 2
     a, b = _thaw(A), _thaw(B)
-    cs = [Fraction((-2) ** r * double_factorial(2 * l3 - 2 * r - 1),
-                   double_factorial(2 * l3 - 1))
-          for r in range(min(l1, l2) - k - parity + 1)]
-    c_den = math.lcm(*[c.denominator for c in cs])
     acc: dict = {}
-    for r, c in enumerate(cs):
+    for r in range(min(l1, l2) - k - parity + 1):
         core = _traceless_raw(a, b, k + r)
         g1, g2 = l1 - k - r - parity, l2 - k - r - parity
         if parity:
             # eps_ijk A_j... B_k... : hook the epsilon to one A slot and one B slot
             core = _contract_raw(_EPS3, core, [(1, g1), (2, g1 + 1)])
         _embed_into(acc, core, [1] * parity + [g1, g2], r,
-                    c.numerator * (c_den // c.denominator))
-    return _from_numerators(l3, c_den * A.den * B.den, acc,
+                    (-2) ** r * double_factorial(2 * l3 - 2 * r - 1))
+    return _from_numerators(l3, double_factorial(2 * l3 - 1) * A.den * B.den, acc,
                             _product_factor(A, B, atom_mul(scale, CoeffAtom(norm))))
 
 

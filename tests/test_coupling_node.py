@@ -195,3 +195,40 @@ def test_rank_one_coupling_resolves_few_signature_pairs(resolves):
     every structure of a resolves on its own."""
     reduce_expr(parse("[Y[6](a) x Y[6](b)][1]"))
     assert len(resolves) <= 60
+
+
+def test_nested_coupling_resolves_few_signature_pairs(resolves):
+    """At the root of [[[Y[2](a) x Y[2](b)][4] x Y[2](c)][6] x Y[8](d)][2],
+    the rank-6 node's 1,320 structures are merged by orbit against the
+    leaf's 764 with their traces dropped: 629 signature pairs in all.
+    Merging the leaf instead, against the node's 90 structures without a
+    trace, resolves 1,197."""
+    reduce_expr(parse("[[[Y[2](a) x Y[2](b)][4] x Y[2](c)][6] x Y[8](d)][2]"))
+    assert len(resolves) <= 700
+
+
+@pytest.fixture
+def contract_raw_args(monkeypatch):
+    """A list that records the arguments of each tensor._contract_raw call."""
+    calls = []
+    contract_raw = tensor._contract_raw
+
+    def recorded(x, y, pairs, orbit=0):
+        calls.append((x, y, pairs, orbit))
+        return contract_raw(x, y, pairs, orbit)
+
+    monkeypatch.setattr(tensor, "_contract_raw", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_few_contracted_slots_read_both_factors_whole(contract_raw_args, k):
+    """On k <= 1 contracted slots no delta joins two of them and no orbit has
+    two members, so _traceless_raw passes both raw factors on as they are,
+    with nothing to merge or drop."""
+    A = couple_even(harmonic_tensor('a', 2), harmonic_tensor('b', 2), 2)
+    a, b = tensor._thaw(A), tensor._thaw(harmonic_tensor('c', 3))
+    contract_raw_args.clear()
+    tensor._traceless_raw(a, b, k)
+    [(x, y, _, orbit)] = contract_raw_args
+    assert x is a and y is b and orbit == 0

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from cartensor import tensor
 from cartensor.coeff import ATOM_ONE, CoeffAtom, atom, atom_mul, square_free_split
-from cartensor.reduce import MAX_LEAF_TERMS, Harmonic, leaf_too_large, reduce_expr
+from cartensor.reduce import (MAX_LEAF_TERMS, Harmonic, InvalidExpr, leaf_too_large,
+                             reduce_expr, validate_expr)
 from cartensor.tensor import (
     TensorPoly,
     TensorTerm,
@@ -301,6 +302,19 @@ class TestHarmonicTensor:
         for l in range(11):
             harmonic_tensor('a', l)
         assert calls == []
+
+    @pytest.mark.parametrize("l", [-1, 11])
+    def test_refuses_what_the_validator_refuses(self, l):
+        """harmonic_tensor holds the leaf bound itself, with the message
+        reduce.validate_expr gives, and builds nothing past it; Y[10], the
+        largest leaf within it, is pinned by the tests above."""
+        with pytest.raises(InvalidExpr) as validated:
+            validate_expr(Harmonic(l, 'a'))
+        tensor._harmonic_cached.cache_clear()
+        with pytest.raises(ValueError) as built:
+            harmonic_tensor('a', l)
+        assert str(built.value) == str(validated.value)
+        assert tensor._harmonic_cached.cache_info().misses == 0
 
     def test_leaf_cache_is_bounded(self):
         tensor._harmonic_cached.cache_clear()
