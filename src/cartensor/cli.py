@@ -12,6 +12,11 @@ marking the offending span; stdout carries only the requested output.
 
 The verify seed is resolved as: --seed flag, else the CARTENSOR_SEED
 environment variable, else the built-in default.  A seed is an integer >= 0.
+Seeds and sample counts are written as the expression grammar writes its
+integers, in the ASCII digits 0-9 (after an optional '-', which is then
+refused as out of range).
+
+Only verify and corpus load the numeric oracle, and numpy with it.
 
 corpus --regen reads the bundled corpus file, re-derives each entry's
 expected result, and writes the file to --file (default: the bundled file).
@@ -25,7 +30,6 @@ import math
 import os
 import sys
 
-from .oracle import DEFAULT_SEED, MAX_SAMPLES, verify
 from .parser import (ExprError, format_error, parse, render_json,
                      render_latex, render_text, result_to_obj)
 from .reduce import reduce_expr
@@ -35,8 +39,19 @@ def _default_corpus_path():
     return resources.files("cartensor").joinpath("data", "appendix.jsonl")
 
 
+def _ascii_int(text: str) -> int:
+    """The integer text spells as an optional '-' and the ASCII digits 0-9, as
+    the expression grammar reads them; int() would also take '5_000', ' 5 '
+    and non-ASCII decimal digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def sample_count(text: str) -> int:
-    value = int(text)
+    from .oracle import MAX_SAMPLES
+    value = _ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if value > MAX_SAMPLES:
@@ -45,7 +60,7 @@ def sample_count(text: str) -> int:
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _ascii_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
@@ -61,6 +76,7 @@ def positive_finite_float(text: str) -> float:
 
 
 def _resolve_seed(args) -> int | None:
+    from .oracle import DEFAULT_SEED
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("CARTENSOR_SEED")
@@ -97,6 +113,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import verify
     expr = _parse_or_report(args.expr)
     if expr is None:
         return 2
@@ -157,6 +174,7 @@ def _read_corpus(path) -> list | None:
 
 
 def cmd_corpus(args) -> int:
+    from .oracle import verify
     if args.regen and args.check:
         print("error: choose one of --regen / --check", file=sys.stderr)
         return 2

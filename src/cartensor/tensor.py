@@ -81,9 +81,16 @@ Embedding relabels without bonds, so it goes straight to the canonical form.
 
 A TensorPoly is that form frozen, (rank, prefactor, den, groups), with groups
 the strictly ascending tuple of (struct, ((dots, numerator), ...)).  Its normal
-form makes equal values equal TensorPolys: monomials strictly ascending, no
-zero numerator or empty group, den >= 1, gcd(den, every numerator) == 1, and a
-canonical prefactor with rat == 1 (ATOM_ONE for the zero TensorPoly(rank)).
+form makes one representation per polynomial in its terms: monomials strictly
+ascending, no zero numerator or empty group, den >= 1, gcd(den, every
+numerator) == 1, and a canonical prefactor with rat == 1 (ATOM_ONE for the
+zero TensorPoly(rank)).  Equal values are equal TensorPolys only along one
+route of construction.  Two coupling trees of one value, such as the two
+sides of a 6j recoupling, can build different canonical terms: the order of
+epsilon elimination picks which epsilon survives, and Gram relations among
+four or more vectors (free slots included) are not reduced.  Compare values
+across trees by evaluating them; the output of one coupling has one route and
+so one form.
 Only the prefactor is ever irrational: products multiply the two prefactors
 once and move the rational part of the product (a gcd of radicands, the sign
 of i**2) into the numerators.  The output's full-key order (vecs, deltas,

@@ -221,6 +221,18 @@ class TestSeedResolution:
         assert code == 2
         assert "CARTENSOR_SEED must be an integer" in err
 
+    @pytest.mark.parametrize("env", ["5_000", " 5 ", "٣"],
+                             ids=["underscore", "spaces", "arabic-indic"])
+    def test_loose_integer_env_exit_2(self, capsys, monkeypatch, env):
+        """Only an optional '-' and the ASCII digits 0-9 make a seed, as in the
+        expression grammar; int() would read these as 5000, 5 and 3."""
+        monkeypatch.setenv("CARTENSOR_SEED", env)
+        code, out, err = run(capsys, "verify", "[Y[1](a) x Y[1](b)][0]",
+                             "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: CARTENSOR_SEED must be an integer >= 0, got {env!r}"
+
 
 class TestCorpus:
     def test_entry_table(self):
@@ -378,6 +390,12 @@ class TestUsage:
         ("--tol", "0", "must be greater than 0"),
         ("--tol", "nan", "must be greater than 0"),
         ("--tol", "inf", "must be finite"),
+        ("--samples", "5_000", "invalid sample_count value: '5_000'"),
+        ("--samples", " 5 ", "invalid sample_count value: ' 5 '"),
+        ("--samples", "٣", "invalid sample_count value: '٣'"),
+        ("--seed", "5_000", "invalid non_negative_int value: '5_000'"),
+        ("--seed", " 5 ", "invalid non_negative_int value: ' 5 '"),
+        ("--seed", "٣", "invalid non_negative_int value: '٣'"),
     ])
     def test_bad_numeric_flag_exit_2(self, capsys, command, flag, value,
                                      message):
