@@ -14,7 +14,7 @@ The verify seed is resolved as: --seed flag, else the CARTENSOR_SEED
 environment variable, else the built-in default.  A seed is an integer >= 0.
 Seeds and sample counts are written as the expression grammar writes its
 integers, in the ASCII digits 0-9 (after an optional '-', which is then
-refused as out of range).
+refused as out of range); '+5', '5_000' and ' 5 ' are refused.
 
 Only verify and corpus load the numeric oracle, and numpy with it.
 
@@ -41,8 +41,8 @@ def _default_corpus_path():
 
 def _ascii_int(text: str) -> int:
     """The integer text spells as an optional '-' and the ASCII digits 0-9, as
-    the expression grammar reads them; int() would also take '5_000', ' 5 '
-    and non-ASCII decimal digits."""
+    the expression grammar reads them; int() would also take '5_000', ' 5 ',
+    '+5' and non-ASCII decimal digits."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")

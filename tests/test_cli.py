@@ -221,11 +221,12 @@ class TestSeedResolution:
         assert code == 2
         assert "CARTENSOR_SEED must be an integer" in err
 
-    @pytest.mark.parametrize("env", ["5_000", " 5 ", "٣"],
-                             ids=["underscore", "spaces", "arabic-indic"])
+    @pytest.mark.parametrize("env", ["5_000", " 5 ", "٣", "+5"],
+                             ids=["underscore", "spaces", "arabic-indic",
+                                  "plus"])
     def test_loose_integer_env_exit_2(self, capsys, monkeypatch, env):
         """Only an optional '-' and the ASCII digits 0-9 make a seed, as in the
-        expression grammar; int() would read these as 5000, 5 and 3."""
+        expression grammar; int() would read these as 5000, 5, 3 and 5."""
         monkeypatch.setenv("CARTENSOR_SEED", env)
         code, out, err = run(capsys, "verify", "[Y[1](a) x Y[1](b)][0]",
                              "--samples", "5")
@@ -393,9 +394,11 @@ class TestUsage:
         ("--samples", "5_000", "invalid sample_count value: '5_000'"),
         ("--samples", " 5 ", "invalid sample_count value: ' 5 '"),
         ("--samples", "٣", "invalid sample_count value: '٣'"),
+        ("--samples", "+5", "invalid sample_count value: '+5'"),
         ("--seed", "5_000", "invalid non_negative_int value: '5_000'"),
         ("--seed", " 5 ", "invalid non_negative_int value: ' 5 '"),
         ("--seed", "٣", "invalid non_negative_int value: '٣'"),
+        ("--seed", "+5", "invalid non_negative_int value: '+5'"),
     ])
     def test_bad_numeric_flag_exit_2(self, capsys, command, flag, value,
                                      message):
